@@ -82,10 +82,9 @@ IngestTape MakeTape(DataAggregator* da, const PipelineWorkload& w, Rng* rng,
   return tape;
 }
 
-ServerConfig PipelineConfig(size_t shards) {
+ServerConfig PipelineConfig() {
   ServerConfig cfg;
   cfg.node.record_len = 128;
-  cfg.serving.worker_threads = shards;
   return cfg;
 }
 
@@ -94,7 +93,7 @@ std::unique_ptr<ShardedQueryServer> MakeServer(
     size_t shards) {
   auto server = std::make_unique<ShardedQueryServer>(
       ctx, ShardRouter::Uniform(shards, w.key_lo, w.key_hi),
-      PipelineConfig(shards));
+      PipelineConfig());
   for (const auto& msg : w.bulk) {
     Status s = server->ApplyUpdate(msg);
     AUTHDB_CHECK(s.ok());
@@ -162,7 +161,7 @@ void Run(bench::BenchRun* run) {
     double ingest_rate = 0;
     double publish_mean = 0;
     {
-      UpdateStream stream(server.get(), PipelineConfig(shards));
+      UpdateStream stream(server.get(), PipelineConfig());
       Stopwatch sw;
       for (const IngestTape::Entry& e : tape.entries) {
         if (e.is_summary) {
@@ -198,7 +197,7 @@ void Run(bench::BenchRun* run) {
 
     double live_qps = 0;
     {
-      UpdateStream stream(server.get(), PipelineConfig(shards));
+      UpdateStream stream(server.get(), PipelineConfig());
       std::atomic<bool> stop{false};
       std::thread producer([&] {
         Rng prng(31);

@@ -93,7 +93,6 @@ void Run(bench::BenchRun* run) {
 
     ServerConfig cfg;
     cfg.node.record_len = 128;
-    cfg.serving.worker_threads = shards;
     cfg.serving.scalar_bloom_probes = scalar_probe;
     ShardedQueryServer server(ctx, ShardRouter::Uniform(shards, 0, key_hi),
                               cfg);
@@ -158,11 +157,12 @@ void Run(bench::BenchRun* run) {
     double proj_qps = report.KindOpsPerSecond(report.projections);
 
     // Shard-scaling capacity from per-shard BUSY time, not wall clock:
-    // on a single-core runner all shard workers timeslice one core, so
-    // wall-clock qps cannot show parallel speedup. What sharding divides
-    // is each shard's busy seconds — capacity_K = plans / max_s(busy_s)
-    // is the throughput K truly-parallel cores would sustain, and is the
-    // machine-independent quantity the 4v1 ratios gate.
+    // on a single-core runner every client's shard visits timeslice one
+    // core, so wall-clock qps cannot show parallel speedup. What sharding
+    // divides is each shard's busy seconds — capacity_K =
+    // plans / max_s(busy_s) is the throughput K truly-parallel cores would
+    // sustain, and is the machine-independent quantity the 4v1 ratios
+    // gate.
     uint64_t busy_max = 0, read_busy_max = 0, join_busy_max = 0;
     for (const auto& kb : report.server.exec.shard_busy) {
       busy_max = std::max(busy_max, kb.visit_us);

@@ -70,10 +70,10 @@ Fixture MakeFixture(bool smoke, SystemClock* clock, Rng* rng) {
 }
 
 std::unique_ptr<ShardedQueryServer> MakeServer(const Fixture& fx,
-                                               const ServerConfig& cfg) {
+                                               const ServerConfig& cfg,
+                                               size_t shards) {
   auto server = std::make_unique<ShardedQueryServer>(
-      fx.ctx, ShardRouter::Uniform(cfg.serving.worker_threads, 0, fx.key_hi),
-      cfg);
+      fx.ctx, ShardRouter::Uniform(shards, 0, fx.key_hi), cfg);
   for (const auto& msg : fx.bulk) {
     Status s = server->ApplyUpdate(msg);
     AUTHDB_CHECK(s.ok());
@@ -114,14 +114,13 @@ void Run(bench::BenchRun* run) {
   // per-plan serving rate that 2x overload is defined against.
   ServerConfig base_cfg;
   base_cfg.node.record_len = 128;
-  base_cfg.serving.worker_threads = shards;
   {
     Result<ServerConfig> v = base_cfg.Validated();
     AUTHDB_CHECK(v.ok());
   }
   double capacity_qps = 0;
   {
-    auto server = MakeServer(fx, base_cfg);
+    auto server = MakeServer(fx, base_cfg, shards);
     DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
     server->AddSummary(p0.summary);
 
@@ -172,7 +171,7 @@ void Run(bench::BenchRun* run) {
   for (const auto arrivals : {OpenLoopOptions::Arrivals::kPoisson,
                               OpenLoopOptions::Arrivals::kBurst}) {
     const bool poisson = arrivals == OpenLoopOptions::Arrivals::kPoisson;
-    auto server = MakeServer(fx, over_cfg);
+    auto server = MakeServer(fx, over_cfg, shards);
     DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
     server->AddSummary(p0.summary);
 
@@ -268,7 +267,7 @@ void Run(bench::BenchRun* run) {
   // outcome); a shed CARRYING payload is a forgery attempt and must fail
   // verification outright. A served answer still verifies fresh.
   {
-    auto server = MakeServer(fx, base_cfg);
+    auto server = MakeServer(fx, base_cfg, shards);
     DataAggregator::PeriodOutput p0 = fx.da->PublishSummary();
     server->AddSummary(p0.summary);
     VarintGapCodec codec;

@@ -38,7 +38,6 @@ double RunShards(const std::shared_ptr<const BasContext>& ctx,
                  MultiClientReport* report_out) {
   ServerConfig cfg;
   cfg.node.record_len = 128;
-  cfg.serving.worker_threads = shards;  // one fan-out worker per shard
   ShardedQueryServer server(
       ctx, ShardRouter::Uniform(shards, 0,
                                 static_cast<int64_t>(w.n_records) - 1),

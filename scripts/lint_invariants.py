@@ -34,9 +34,9 @@ Nine rules, each protecting a contract the compiler cannot see:
 * ``batch-path`` — the batched executor
   (``src/server/batch_exec.cc``) must not dispatch shard work from a
   per-plan loop: a ``for``/``while`` whose header mentions ``plan`` may
-  stitch and aggregate, but a shard dispatch call (``RunVisits`` /
-  ``Execute`` / ``ExecuteBatch`` / ``Select`` / ``ScanShard`` /
-  ``Visit``) inside it reintroduces one-visit-per-plan — exactly the
+  stitch and aggregate, but a shard dispatch call (``Execute`` /
+  ``ExecuteBatch`` / ``Select`` / ``ScanShard`` / ``Visit``) inside it
+  reintroduces one-visit-per-plan — exactly the
   hand-off the PlanBatch envelope exists to amortize away (one visit per
   covered shard per batch).
 
@@ -301,7 +301,7 @@ def check_bench_json(files):
 
 LOOP_HEADER_RE = re.compile(r"\b(for|while)\s*\(")
 BATCH_DISPATCH_RE = re.compile(
-    r"\b(RunVisits|ExecuteBatch|Execute|Select|ScanShard|Visit)\s*\(")
+    r"\b(ExecuteBatch|Execute|Select|ScanShard|Visit)\s*\(")
 
 
 def check_batch_path(relpath, text):
@@ -585,7 +585,10 @@ void BatchEngine::Bad(const PlanBatch& batch) {
     srv_.Execute(plan);
   }
   for (size_t s = 0; s < shards; ++s) {
-    RunVisits(visits);  // not a per-plan loop: must NOT be flagged
+    Visit(s, shard_rr[s], shard_pr[s]);  // per-shard: must NOT be flagged
+  }
+  for (size_t p = 0; p < plans.size(); ++p) {
+    Visit(shard_of[p], rr[p], pr[p]);
   }
   for (size_t p = 0; p < plans.size(); ++p) {
     results.push_back(StitchSelect(p));  // stitch call: must NOT be flagged
@@ -671,11 +674,12 @@ def self_test():
     naked = check_bench_json(SELFTEST_BENCH)
     if naked and naked[0].path != "bench/bench_naked.cc":
         failures.append("bench-json flagged the wrong file: %r" % (naked,))
-    # Seeded per-plan dispatch is caught once; the per-shard loop, the
-    # stitch call, and the allow-escaped loop all stay silent.
+    # Both seeded per-plan dispatches (Execute, Visit) are caught; the
+    # per-shard Visit loop, the stitch call, and the allow-escaped loop
+    # all stay silent.
     expect("seeded batch-path",
            check_batch_path("fake.cc", SELFTEST_BATCH_PATH),
-           "batch-path", 1)
+           "batch-path", 2)
     # Orphan stats struct caught; the folded one and the allow-escape stay
     # silent.
     stats = check_stats_surface(SELFTEST_STATS_SURFACE,

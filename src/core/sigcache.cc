@@ -45,16 +45,6 @@ CardinalityDist CardinalityDist::UniformRange(uint64_t n, uint64_t lo,
   return CardinalityDist(std::move(p));
 }
 
-CardinalityDist CardinalityDist::Blend(const CardinalityDist& a,
-                                       const CardinalityDist& b, double w) {
-  AUTHDB_CHECK(a.N() == b.N());
-  AUTHDB_CHECK(0.0 <= w && w <= 1.0);
-  std::vector<double> p(a.N() + 1, 0.0);
-  for (uint64_t q = 1; q <= a.N(); ++q)
-    p[q] = (1.0 - w) * a.P(q) + w * b.P(q);
-  return CardinalityDist(std::move(p));
-}
-
 uint64_t SigTreeXi(uint64_t n, int level, uint64_t j, uint64_t q) {
   AUTHDB_CHECK(IsPowerOfTwo(n));
   uint64_t m = uint64_t{1} << level;

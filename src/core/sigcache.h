@@ -25,11 +25,6 @@ class CardinalityDist {
   /// Uniform over [lo, hi] cardinalities, zero elsewhere (e.g. the paper's
   /// selectivity band [sf/2, 3sf/2] of Section 5.1).
   static CardinalityDist UniformRange(uint64_t n, uint64_t lo, uint64_t hi);
-  /// Pointwise mixture (1-w)*a + w*b over the same N — the online planner
-  /// retune interpolates between the assumed (harmonic) and observed-miss
-  /// (uniform) distributions with the live hit/miss mix as the weight.
-  static CardinalityDist Blend(const CardinalityDist& a,
-                               const CardinalityDist& b, double w);
 
   double P(uint64_t q) const { return p_[q]; }
   uint64_t N() const { return p_.size() - 1; }

@@ -5,8 +5,8 @@
 // answer is the same serializable cut. Planning splits each valid plan
 // into per-shard requests — selection/projection sub-ranges and per-value
 // join probes — and each covered shard is then visited exactly once per
-// batch on its shard-affine worker. A visit sorts its requests by low key
-// and walks the immutable snapshot forward once (EpochSnapshot::
+// batch, in shard order on the calling thread. A visit sorts its requests
+// by low key and walks the immutable snapshot forward once (EpochSnapshot::
 // ForwardCursor: galloping rank lookups in key order), aggregates
 // selection sub-ranges either through ONE generation-tagged
 // SigCache::RangeAggregateBatch call or into Jacobian accumulators, and
@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
@@ -106,7 +105,7 @@ class BatchEngine {
   Status ValidateAndPlan(const Query& q, size_t p);
   void Visit(size_t shard, const std::vector<size_t>& rr,
              const std::vector<size_t>& pr, ShardBusy* busy,
-             size_t* finalizes);
+             uint64_t* finalizes);
 
   Result<QueryAnswer> StitchSelect(size_t p, const Query& q,
                                    BasAccumulator* acc, bool* needs_final,
@@ -187,7 +186,7 @@ Status BatchEngine::ValidateAndPlan(const Query& q, size_t p) {
 
 void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
                         const std::vector<size_t>& pr, ShardBusy* busy,
-                        size_t* finalizes) {
+                        uint64_t* finalizes) {
   const Clock::time_point visit_start = Clock::now();
   const EpochSnapshot& snap = *desc_.shards[shard];
 
@@ -208,8 +207,8 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
     return a.idx < b.idx;
   });
 
-  // One atomic slot load per visit: the online retuner may swap a shard's
-  // plan mid-serving, and this visit finishes on whatever slot it loaded.
+  // One atomic slot load per visit: EnableSigCache may install a slot
+  // mid-serving, and this visit finishes on whatever slot it loaded.
   std::shared_ptr<const ShardedQueryServer::Shard::CacheSlot> cache_slot =
       std::atomic_load(&srv_.shards_[shard]->cache_slot);
   SigCache* cache = cache_slot == nullptr ? nullptr : cache_slot->cache.get();
@@ -682,28 +681,21 @@ std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
   probe_res_.resize(probe_reqs_.size());
 
   // One visit per covered shard for the WHOLE batch: group every request
-  // by shard, dispatch each group to its shard-affine worker once.
+  // by shard, then visit each group once, in shard order.
   std::vector<std::vector<size_t>> shard_rr(n_shards), shard_pr(n_shards);
   for (size_t i = 0; i < range_reqs_.size(); ++i)
     shard_rr[range_reqs_[i].shard].push_back(i);
   for (size_t i = 0; i < probe_reqs_.size(); ++i)
     shard_pr[probe_reqs_[i].shard].push_back(i);
-  std::vector<size_t> visit_finalizes(n_shards, 0);
-  std::vector<ShardExecutor::Visit> visits;
   for (size_t s = 0; s < n_shards; ++s) {
     if (shard_rr[s].empty() && shard_pr[s].empty()) continue;
-    visits.push_back(ShardExecutor::Visit{
-        s, [this, s, &shard_rr, &shard_pr, &bs, &visit_finalizes] {
-          Visit(s, shard_rr[s], shard_pr[s], &bs.shard_busy[s],
-                &visit_finalizes[s]);
-        }});
+    Visit(s, shard_rr[s], shard_pr[s], &bs.shard_busy[s],
+          &bs.batch_finalizes);
+    ++bs.shard_visits;
   }
-  bs.shard_visits = visits.size();
-  srv_.exec_.RunVisits(std::move(visits));
-  for (size_t f : visit_finalizes) bs.batch_finalizes += f;
 
   // Per-plan stitch. This loops over plans at the FRONT END only — all
-  // shard dispatch happened in the single RunVisits above; plan-level
+  // shard visits happened in the per-shard loop above; plan-level
   // aggregates stay Jacobian here and finalize together below.
   std::vector<Result<QueryAnswer>> results;
   results.reserve(plans.size());

@@ -1,7 +1,5 @@
 #include "server/config.h"
 
-#include <string>
-
 namespace authdb {
 
 Result<ServerConfig> ServerConfig::Validated() const {
@@ -11,11 +9,6 @@ Result<ServerConfig> ServerConfig::Validated() const {
     return Status::InvalidArgument(
         "node.summaries_retained must be >= 1 (every epoch carries its "
         "summary run)");
-  }
-  if (serving.worker_threads > 4096) {
-    return Status::InvalidArgument(
-        "serving.worker_threads is a per-shard flag, not a pool size: " +
-        std::to_string(serving.worker_threads) + " is not plausible");
   }
   if (ingest.max_queue_depth == 0) {
     return Status::InvalidArgument(

@@ -18,7 +18,7 @@ namespace authdb {
 ///               QueryServer::Options, embedded verbatim so the
 ///               single-node reference path and the sharded server can
 ///               never drift on record layout or summary retention);
-///   serving   — the read fan-out + epoch-GC layer (ShardedQueryServer);
+///   serving   — the read path + epoch-GC layer (ShardedQueryServer);
 ///   ingest    — the streaming apply layer (UpdateStream);
 ///   admission — overload control on the read path (AdmissionController).
 ///
@@ -33,24 +33,12 @@ struct ServerConfig {
   QueryServer::Options node;
 
   struct Serving {
-    /// Non-zero: one dedicated shard-affine worker thread per shard serves
-    /// the read fan-out (the value beyond zero is ignored — the executor
-    /// is per-shard by construction). Zero: visits run inline on the
-    /// submitting thread.
-    size_t worker_threads = 4;
     /// Epoch GC backpressure: maximum number of *superseded* epochs that
     /// stalled readers may keep pinned before PublishEpoch blocks waiting
     /// for one to drain (0 = unbounded). The block propagates through the
     /// update stream's apply queues to the producer — memory stays bounded
     /// even against a wedged reader.
     size_t max_pinned_epochs = 0;
-    /// Online SigCache retuning cadence: every this many epoch
-    /// publications the run-length planner re-plans each enabled shard
-    /// against the live hit/miss mix (ServerMetrics aggregation counters)
-    /// and the shard's current size + generation. 0 = never retune
-    /// automatically; RetuneSigCache() stays available to callers. Plans
-    /// that come out unchanged keep their warm windows.
-    size_t sigcache_retune_publications = 0;
     /// Ablation: force the legacy per-key Bloom probe on the join hot
     /// path instead of the batched ProbeMany (no bulk hashing, no block
     /// prefetch). Answers are identical — the filters are the same — so

@@ -36,7 +36,6 @@ std::vector<std::pair<std::string, double>> ServerMetrics::Flatten() const {
       static_cast<double>(exec.bloom_delta_merges));
   put("exec.bloom.full_rebuilds",
       static_cast<double>(exec.bloom_full_rebuilds));
-  put("exec.cache.retunes", static_cast<double>(exec.cache_retunes));
   put("exec.last_epoch", static_cast<double>(exec.last_epoch));
   for (size_t s = 0; s < exec.shard_busy.size(); ++s) {
     const std::string sfx = std::to_string(s);
@@ -124,7 +123,6 @@ ServerMetrics ServerMetrics::Delta(const ServerMetrics& since) const {
       sub(exec.bloom_delta_merges, since.exec.bloom_delta_merges);
   d.exec.bloom_full_rebuilds =
       sub(exec.bloom_full_rebuilds, since.exec.bloom_full_rebuilds);
-  d.exec.cache_retunes = sub(exec.cache_retunes, since.exec.cache_retunes);
   for (size_t s = 0; s < d.exec.shard_busy.size(); ++s) {
     if (s >= since.exec.shard_busy.size()) break;
     const ShardBusy& b = since.exec.shard_busy[s];
@@ -225,10 +223,6 @@ void MetricsCore::RecordPublish(uint64_t backpressure_us) {
     publish_backpressure_us_.fetch_add(backpressure_us, kRelaxed);
 }
 
-void MetricsCore::RecordCacheRetunes(uint64_t installs) {
-  cache_retunes_.fetch_add(installs, kRelaxed);
-}
-
 void MetricsCore::RecordPartitionRefresh(uint64_t delta_merges,
                                          uint64_t full_rebuilds) {
   bloom_delta_merges_.fetch_add(delta_merges, kRelaxed);
@@ -254,7 +248,6 @@ void MetricsCore::Snapshot(ServerMetrics* out) const {
   e.bloom_fp_fallbacks = bloom_fp_fallbacks_.load(kRelaxed);
   e.bloom_delta_merges = bloom_delta_merges_.load(kRelaxed);
   e.bloom_full_rebuilds = bloom_full_rebuilds_.load(kRelaxed);
-  e.cache_retunes = cache_retunes_.load(kRelaxed);
   e.last_epoch = last_epoch_.load(kRelaxed);
   e.shard_busy.resize(shard_busy_.size());
   for (size_t s = 0; s < shard_busy_.size(); ++s) {

@@ -86,8 +86,6 @@ struct ServerMetrics {
     /// full certified rebuilds (delete-dirty or wholesale installs).
     uint64_t bloom_delta_merges = 0;
     uint64_t bloom_full_rebuilds = 0;
-    /// Online planner retunes that installed a changed per-shard plan.
-    uint64_t cache_retunes = 0;
     uint64_t last_epoch = 0;      ///< epoch the most recent batch pinned
     std::vector<ShardBusy> shard_busy;  ///< cumulative, indexed by shard
   } exec;
@@ -164,8 +162,6 @@ class MetricsCore {
 
   void FoldBatch(const BatchExecStats& batch);
   void RecordPublish(uint64_t backpressure_us);
-  /// The online planner installed `installs` changed per-shard plans.
-  void RecordCacheRetunes(uint64_t installs);
   /// A partition refresh installed `delta_merges` merged deltas and
   /// `full_rebuilds` full certified filters.
   void RecordPartitionRefresh(uint64_t delta_merges, uint64_t full_rebuilds);
@@ -198,7 +194,6 @@ class MetricsCore {
   std::atomic<uint64_t> bloom_fp_fallbacks_{0};
   std::atomic<uint64_t> bloom_delta_merges_{0};
   std::atomic<uint64_t> bloom_full_rebuilds_{0};
-  std::atomic<uint64_t> cache_retunes_{0};
   std::atomic<uint64_t> last_epoch_{0};
   std::atomic<uint64_t> published_total_{0};
   std::atomic<uint64_t> publish_backpressure_us_{0};

@@ -17,7 +17,6 @@
 #include "server/admission.h"
 #include "server/config.h"
 #include "server/metrics.h"
-#include "server/shard_executor.h"
 #include "server/shard_router.h"
 
 namespace authdb {
@@ -62,10 +61,11 @@ struct EpochDescriptor {
 ///    shard join stitching. The answer is a true serializable snapshot of
 ///    one published epoch: it can never mix pre- and post-update chain
 ///    generations, no matter how ingest races it. There is no retry loop,
-///    no restitching, and no exclusive fallback — reads never contend
-///    with ingest (the only lock a read can touch is the optional
-///    per-shard SigCache's internal mutex, shared among readers of that
-///    shard's cache; with the cache off, reads take no locks at all).
+///    no restitching, and no exclusive fallback, and reads never wait on
+///    ingest. A read runs entirely on the calling thread. With the
+///    SigCache off it takes no lock at all; with it on, concurrent
+///    readers of one shard serialize on that shard's cache mutex for the
+///    duration of the shard's aggregate walk.
 ///  * The update stream builds the next epoch as copy-on-write deltas
 ///    against the serving snapshots (ShardVersionBuilder) and publishes it
 ///    atomically at the rho-period summary barrier (PublishEpoch): the new
@@ -188,7 +188,7 @@ class ShardedQueryServer {
   size_t pinned_epochs() const EXCLUDES(publish_mu_);
 
   /// Range selection with proof, stitched across the covered shards of
-  /// one pinned epoch snapshot — wait-free under ingest, and always a
+  /// one pinned epoch snapshot — never blocked by ingest, and always a
   /// serializable cut the unmodified verifier accepts. With admission
   /// enabled, a shed selection returns ResourceExhausted (SelectionAnswer
   /// has no outcome channel of its own).
@@ -205,15 +205,17 @@ class ShardedQueryServer {
 
   /// Execute a batch of plans against ONE pinned epoch — the batched read
   /// path. The whole batch pins a single EpochDescriptor (every answer is
-  /// the same serializable cut), visits each covered shard once (per-shard
-  /// task queues, shard-affine workers), walks each shard's snapshot
-  /// forward once over the batch's sorted sub-ranges and join probes, and
+  /// the same serializable cut), visits each covered shard once, in shard
+  /// order on the calling thread, walks each shard's snapshot forward
+  /// once over the batch's sorted sub-ranges and join probes, and
   /// finalizes the batch's aggregate signatures with shared batch
-  /// inversions. Answers are byte-for-byte the answers the one-at-a-time
-  /// Execute path produces, in plan order — each independently acceptable
-  /// to the unmodified client verifier. With admission enabled, plans the
-  /// controller refuses come back as ok() results carrying
-  /// AnswerOutcome::kShedRetryAfter (still in plan order).
+  /// inversions. With the SigCache enabled, concurrent callers visiting
+  /// the same shard serialize on its cache mutex. Answers are byte-for-byte
+  /// the answers the one-at-a-time Execute path produces, in plan order —
+  /// each independently acceptable to the unmodified client verifier.
+  /// With admission enabled, plans the controller refuses come back as
+  /// ok() results carrying AnswerOutcome::kShedRetryAfter (still in plan
+  /// order).
   std::vector<Result<QueryAnswer>> ExecuteBatch(const PlanBatch& batch) const;
 
   /// One consistent snapshot of the serving-side counters: execution
@@ -224,26 +226,13 @@ class ShardedQueryServer {
   ServerMetrics Metrics() const;
 
   /// Plan and pin a per-shard SigCache with generation-tagged windows.
-  /// Each shard is planned independently against the largest power-of-two
-  /// prefix of its current snapshot; cached windows are keyed on the
-  /// shard's chain generation, so epochs that leave a shard untouched keep
-  /// its cache hot while any delta invalidates exactly that shard's
-  /// windows (never mixing generations).
-  void EnableSigCache(SigCache::RefreshMode mode, size_t max_pairs)
-      EXCLUDES(publish_mu_);
-
-  /// Online planner retune (Algorithm 1, re-run against live telemetry):
-  /// re-plans every enabled shard against its *current* snapshot size and
-  /// generation, with the assumed harmonic cardinality distribution
-  /// blended toward uniform by the observed leaf-fetch share of the
-  /// aggregation work since the previous retune (leaf fetches are exactly
-  /// the aggregations the pinned windows failed to cover). A shard whose
-  /// plan comes out unchanged keeps its warm windows; a changed plan is
-  /// swapped in atomically under live readers (in-flight visits finish on
-  /// the slot they loaded). Returns the number of shards re-planned.
-  /// Called automatically every serving.sigcache_retune_publications
-  /// epoch barriers, or manually from a quiesced or serving phase.
-  size_t RetuneSigCache() EXCLUDES(publish_mu_);
+  /// Each shard is planned once, independently (harmonic cardinality
+  /// prior), against the largest power-of-two prefix of its current
+  /// snapshot; shards under 4 records stay uncached. Cached windows are
+  /// keyed on the shard's chain generation, so epochs that leave a shard
+  /// untouched keep its cache hot while any delta invalidates exactly
+  /// that shard's windows (never mixing generations).
+  void EnableSigCache(SigCache::RefreshMode mode, size_t max_pairs);
 
   size_t shard_count() const { return shards_.size(); }
   const ShardRouter& router() const { return router_; }
@@ -260,19 +249,15 @@ class ShardedQueryServer {
     /// Guards the builder (writers only; readers pin snapshots).
     mutable Mutex mu;
     ShardVersionBuilder builder GUARDED_BY(mu);
-    /// One planned cache generation for the shard: the cache itself, the
-    /// n it was planned for (bypassed whenever the serving snapshot
-    /// shrank below that), and the plan it pinned (so a retune that
-    /// re-derives the same plan keeps the warm windows).
+    /// The shard's planned cache and the n it was planned for (bypassed
+    /// whenever the serving snapshot shrank below that).
     struct CacheSlot {
       std::shared_ptr<SigCache> cache;
       size_t positions = 0;
-      uint64_t planned_generation = 0;  ///< shard generation at planning
-      std::vector<SigCachePlanner::Choice> plan;
     };
-    /// Installed by EnableSigCache / RetuneSigCache, read lock-free by the
-    /// batch engine (std::atomic_* shared_ptr access) so retunes can swap
-    /// a shard's plan under live readers; null until EnableSigCache.
+    /// Installed by EnableSigCache, read lock-free by the batch engine
+    /// (std::atomic_* shared_ptr access) so the cache can be enabled
+    /// under live readers; null until EnableSigCache.
     std::shared_ptr<const CacheSlot> cache_slot;
   };
 
@@ -293,23 +278,14 @@ class ShardedQueryServer {
   static void AttachSummaries(const EpochDescriptor& desc, uint64_t oldest_ts,
                               std::vector<UpdateSummary>* out);
 
-  /// Build + install a descriptor from `snaps` under publish_mu_ (held by
-  /// the caller), retiring the previous descriptor into the GC list.
+  /// Build + install a descriptor for `epoch` from `snaps` under
+  /// publish_mu_ (held by the caller), retiring the previous descriptor
+  /// into the GC list.
   void InstallDescriptorLocked(
-      std::vector<std::shared_ptr<const EpochSnapshot>> snaps)
+      uint64_t epoch, std::vector<std::shared_ptr<const EpochSnapshot>> snaps)
       REQUIRES(publish_mu_);
   /// Freeze every shard and republish the current epoch (direct path).
   void RepublishLocked() REQUIRES(publish_mu_);
-  /// RetuneSigCache's body; PublishEpoch calls it at the configured
-  /// cadence while already holding the publish lock.
-  size_t RetuneSigCacheLocked() REQUIRES(publish_mu_);
-  /// Plan one shard's cache slot over `n` positions (power-of-two floor
-  /// applied internally), with the harmonic assumption blended toward
-  /// uniform by weight `uniform_w` in [0, 1]. Returns null when the shard
-  /// is too small to cache.
-  std::shared_ptr<const Shard::CacheSlot> BuildCacheSlot(
-      uint64_t n, uint64_t generation, double uniform_w,
-      SigCache::RefreshMode mode, size_t max_pairs) const;
   /// Superseded-but-pinned epoch count; prunes dead entries. Held under
   /// pin_sync_->mu, not publish_mu_, so it stays callable while a
   /// backpressured publisher holds the publish lock.
@@ -319,7 +295,6 @@ class ShardedQueryServer {
   ShardRouter router_;
   ServerConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable ShardExecutor exec_;
   FreshnessTracker tracker_;
   /// Cumulative execution counters (relaxed atomics; ExecuteBatch folds
   /// one BatchExecStats per call, Metrics() snapshots).
@@ -353,18 +328,6 @@ class ShardedQueryServer {
       GUARDED_BY(publish_mu_);
   std::shared_ptr<const std::vector<CertifiedPartition>> partitions_
       GUARDED_BY(publish_mu_);
-
-  /// SigCache configuration + retune bookkeeping. Set by EnableSigCache,
-  /// consumed by the retuner (publishers already serialize on publish_mu_).
-  bool cache_enabled_ GUARDED_BY(publish_mu_) = false;
-  SigCache::RefreshMode cache_mode_ GUARDED_BY(publish_mu_) =
-      SigCache::RefreshMode::kLazy;
-  size_t cache_max_pairs_ GUARDED_BY(publish_mu_) = 0;
-  /// Aggregation-counter baselines of the previous retune window.
-  uint64_t retune_window_hits_ GUARDED_BY(publish_mu_) = 0;
-  uint64_t retune_leaf_fetches_ GUARDED_BY(publish_mu_) = 0;
-  /// Publications since the last automatic retune.
-  size_t retune_countdown_ GUARDED_BY(publish_mu_) = 0;
 };
 
 }  // namespace authdb

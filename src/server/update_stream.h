@@ -48,8 +48,8 @@ namespace authdb {
 ///    adjacent shard) needs no rendezvous: its pieces apply independently
 ///    to each owning builder, because nothing is visible until the next
 ///    barrier publishes all of them together. The joint-lockset /
-///    seam-seqlock machinery this replaced is gone — readers are
-///    wait-free under ingest.
+///    seam-seqlock machinery this replaced is gone — readers never
+///    wait on ingest.
 ///
 /// Producers (typically the single DA feed) block when a shard queue is
 /// `ServerConfig::Ingest::max_queue_depth` deep — backpressure instead of

@@ -46,7 +46,6 @@ StalenessAttackReport RunStalenessAttack(
 
   ServerConfig cfg;
   cfg.node.record_len = 128;
-  cfg.serving.worker_threads = opt.worker_threads;
   ShardedQueryServer server(
       ctx,
       ShardRouter::Uniform(

@@ -19,7 +19,6 @@ namespace authdb {
 /// answers (including mid-period reads racing the ingest) all verify.
 struct StalenessAttackOptions {
   size_t shards = 4;
-  size_t worker_threads = 4;      ///< select fan-out pool of the server
   uint64_t n_records = 256;       ///< bulk-loaded relation size
   size_t periods = 3;             ///< attack rho-periods (>= 1)
   size_t victims_per_period = 8;  ///< records captured then updated

@@ -53,7 +53,7 @@ class BatchExecTest : public ::testing::Test {
   }
 
   /// Bulk-load S = {B value -> duplicate count}, enable join partitions,
-  /// and stand up the default 4-shard server (2 worker threads).
+  /// and stand up the 4-shard server.
   void Load(const std::map<int64_t, int>& b_counts) {
     std::vector<Record> records;
     for (const auto& [b, count] : b_counts) {
@@ -68,24 +68,22 @@ class BatchExecTest : public ::testing::Test {
     msgs_ = stream.value();
     da_->EnableJoinPartitions(/*values_per_partition=*/2,
                               /*bits_per_value=*/8.0);
-    server_ = MakeServer(/*worker_threads=*/2);
+    server_ = MakeServer();
   }
 
-  /// A fresh 4-shard server over the loaded stream; worker_threads = 0
-  /// exercises the inline (caller-thread) ShardExecutor path.
-  static ServerConfig Config(size_t worker_threads) {
+  /// A fresh 4-shard server over the loaded stream.
+  static ServerConfig Config() {
     ServerConfig cfg;
     cfg.node.record_len = 128;
-    cfg.serving.worker_threads = worker_threads;
     return cfg;
   }
 
-  std::unique_ptr<ShardedQueryServer> MakeServer(size_t worker_threads) {
+  std::unique_ptr<ShardedQueryServer> MakeServer() {
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_,
         ShardRouter({JoinCompositeKey(30, 1), JoinCompositeKey(50, 0),
                      JoinCompositeKey(75, 0)}),
-        Config(worker_threads));
+        Config());
     for (const auto& msg : msgs_) EXPECT_TRUE(server->ApplyUpdate(msg).ok());
     server->SetJoinPartitions(da_->join_partitions());
     return server;
@@ -329,20 +327,6 @@ TEST_F(BatchExecTest, BatchOfOneIsExactlyExecute) {
   EXPECT_EQ(delta.exec.plans, 2u);
 }
 
-TEST_F(BatchExecTest, InlineExecutorMatchesThreadedExecutor) {
-  Load(DefaultS());
-  auto inline_server = MakeServer(/*worker_threads=*/0);
-  std::vector<Query> plans = MixedPlans();
-  auto threaded = server_->ExecuteBatch(PlanBatch::Of(plans));
-  auto inlined = inline_server->ExecuteBatch(PlanBatch::Of(plans));
-  ASSERT_EQ(threaded.size(), inlined.size());
-  for (size_t i = 0; i < threaded.size(); ++i) {
-    SCOPED_TRACE("plan " + std::to_string(i));
-    ASSERT_TRUE(threaded[i].ok() && inlined[i].ok());
-    ExpectSameAnswer(threaded[i].value(), inlined[i].value());
-  }
-}
-
 TEST_F(BatchExecTest, MetricsAccountShardVisitsAndFinalizes) {
   Load(DefaultS());
   std::vector<Query> plans = MixedPlans();
@@ -399,7 +383,7 @@ TEST_F(BatchExecTest, SigCacheWindowsKeepBatchByteEquivalent) {
 // the `concurrency` suite label.
 TEST_F(BatchExecTest, BatchesStayConsistentUnderLiveIngestAcrossEpochs) {
   Load(DefaultS());
-  UpdateStream stream(server_.get(), Config(2));
+  UpdateStream stream(server_.get(), Config());
   std::vector<Query> plans = MixedPlans();
 
   auto first = server_->ExecuteBatch(PlanBatch::Of(plans));

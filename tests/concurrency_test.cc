@@ -5,7 +5,6 @@
 // phases); the sanitizer provides the interesting failure mode.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -16,7 +15,6 @@
 
 #include "core/data_aggregator.h"
 #include "core/verifier.h"
-#include "server/shard_executor.h"
 #include "server/sharded_query_server.h"
 #include "sim/multi_client.h"
 
@@ -43,11 +41,9 @@ class ConcurrencyTest : public ::testing::Test {
   }
 
   std::unique_ptr<ShardedQueryServer> MakeServer(size_t shards,
-                                                 size_t workers,
                                                  int64_t n_keys) {
     ServerConfig cfg;
     cfg.node.record_len = 128;
-    cfg.serving.worker_threads = workers;
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, n_keys - 1), cfg);
     std::vector<Record> records;
@@ -71,74 +67,8 @@ class ConcurrencyTest : public ::testing::Test {
 };
 std::shared_ptr<const BasContext>* ConcurrencyTest::ctx_ = nullptr;
 
-TEST(ShardExecutorTest, RunVisitsExecutesEveryVisitOnce) {
-  ShardExecutor exec(3, /*threaded=*/true);
-  std::atomic<int> count{0};
-  std::vector<ShardExecutor::Visit> visits;
-  for (int i = 0; i < 64; ++i)
-    visits.push_back({static_cast<size_t>(i) % 3, [&] { ++count; }});
-  exec.RunVisits(std::move(visits));
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ShardExecutorTest, InlineModeRunsOnCallerThread) {
-  ShardExecutor exec(3, /*threaded=*/false);
-  int count = 0;  // no atomics needed: everything runs on this thread
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<ShardExecutor::Visit> visits;
-  for (int i = 0; i < 8; ++i) {
-    visits.push_back({static_cast<size_t>(i) % 3, [&, caller] {
-                        EXPECT_EQ(std::this_thread::get_id(), caller);
-                        ++count;
-                      }});
-  }
-  exec.RunVisits(std::move(visits));
-  EXPECT_EQ(count, 8);
-}
-
-TEST(ShardExecutorTest, VisitsAreShardAffine) {
-  // Every visit for shard s must land on shard s's one worker thread,
-  // across multiple RunVisits rounds.
-  ShardExecutor exec(4, /*threaded=*/true);
-  std::array<std::atomic<std::thread::id>, 4> owner{};
-  std::atomic<int> mismatches{0};
-  for (int round = 0; round < 16; ++round) {
-    std::vector<ShardExecutor::Visit> visits;
-    for (size_t s = 0; s < 4; ++s) {
-      visits.push_back({s, [&, s] {
-                          std::thread::id me = std::this_thread::get_id();
-                          std::thread::id expect{};
-                          if (!owner[s].compare_exchange_strong(expect, me) &&
-                              expect != me) {
-                            ++mismatches;
-                          }
-                        }});
-    }
-    exec.RunVisits(std::move(visits));
-  }
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(ShardExecutorTest, ConcurrentRunVisitsCallersShareTheLanes) {
-  ShardExecutor exec(2, /*threaded=*/true);
-  std::atomic<int> count{0};
-  std::vector<std::thread> callers;
-  for (int c = 0; c < 4; ++c) {
-    callers.emplace_back([&] {
-      for (int round = 0; round < 20; ++round) {
-        std::vector<ShardExecutor::Visit> visits;
-        for (int i = 0; i < 5; ++i)
-          visits.push_back({static_cast<size_t>(i) % 2, [&] { ++count; }});
-        exec.RunVisits(std::move(visits));
-      }
-    });
-  }
-  for (auto& t : callers) t.join();
-  EXPECT_EQ(count.load(), 4 * 20 * 5);
-}
-
 TEST_F(ConcurrencyTest, ParallelReadersAcrossShards) {
-  auto server = MakeServer(4, 4, 256);
+  auto server = MakeServer(4, 256);
   ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
   std::atomic<size_t> failures{0};
   std::vector<std::thread> readers;
@@ -166,7 +96,7 @@ TEST_F(ConcurrencyTest, ParallelReadersAcrossShards) {
 }
 
 TEST_F(ConcurrencyTest, ReadersWithConcurrentSingleShardUpdates) {
-  auto server = MakeServer(4, 4, 256);
+  auto server = MakeServer(4, 256);
   // Pre-sign the update stream: the DA is a single-threaded signer; the
   // serving layer is what is under concurrency test.
   std::vector<SignedRecordUpdate> updates;
@@ -204,7 +134,12 @@ TEST_F(ConcurrencyTest, ReadersWithConcurrentSingleShardUpdates) {
 }
 
 TEST_F(ConcurrencyTest, LazySigCacheUnderInterleavedReadsAndUpdates) {
-  auto server = MakeServer(2, 2, 128);
+  // Reads run on the calling thread, so several readers fill the same
+  // shard's generation-tagged windows at once while direct-path updates
+  // republish the epoch. Every answer is checked mid-churn: each batch
+  // pins one epoch, so its cached aggregates must match that epoch's
+  // signatures exactly.
+  auto server = MakeServer(2, 128);
   server->EnableSigCache(SigCache::RefreshMode::kLazy, 4);
   std::vector<SignedRecordUpdate> updates;
   for (int i = 0; i < 60; ++i) {
@@ -213,33 +148,54 @@ TEST_F(ConcurrencyTest, LazySigCacheUnderInterleavedReadsAndUpdates) {
     ASSERT_TRUE(msg.ok());
     updates.push_back(std::move(msg.value()));
   }
+  ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
   std::atomic<size_t> next{0};
+  std::atomic<size_t> checked{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(300 + t);
-      for (int i = 0; i < 60; ++i) {
-        size_t u = next.fetch_add(1);
-        if (u < updates.size() && rng.Uniform(2) == 0) {
-          EXPECT_TRUE(server->ApplyUpdate(updates[u]).ok());
-        } else {
-          int64_t lo = static_cast<int64_t>(rng.Uniform(120));
-          auto ans = server->Select(lo, lo + 7);
-          EXPECT_TRUE(ans.ok());
+      for (int i = 0; i < 30; ++i) {
+        if (rng.Uniform(3) == 0) {
+          size_t u = next.fetch_add(1);
+          if (u < updates.size()) {
+            EXPECT_TRUE(server->ApplyUpdate(updates[u]).ok());
+          }
+          continue;
+        }
+        // Mixed lengths: a point, short runs, and a long range that
+        // crosses the shard seam at 64.
+        std::vector<Query> plans;
+        for (int64_t len : {0, 3, 7, 60}) {
+          int64_t lo = static_cast<int64_t>(
+              rng.Uniform(static_cast<uint64_t>(128 - len)));
+          plans.push_back(Query::Select(lo, lo + len));
+        }
+        auto answers = server->ExecuteBatch(PlanBatch::Of(plans));
+        ASSERT_EQ(answers.size(), plans.size());
+        for (size_t p = 0; p < plans.size(); ++p) {
+          ASSERT_TRUE(answers[p].ok());
+          EXPECT_TRUE(verifier
+                          .VerifySelectionStatic(plans[p].lo, plans[p].hi,
+                                                 answers[p].value().selection)
+                          .ok())
+              << plans[p].lo << ".." << plans[p].hi;
+          ++checked;
         }
       }
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_GT(checked.load(), 0u);
+  EXPECT_GT(server->Metrics().exec.agg_cache_hits, 0u);
   // Quiesced correctness through the (partly invalidated) caches.
-  ClientVerifier verifier(&da_->public_key(), &codec_, HashMode::kFast);
   auto ans = server->Select(0, 127);
   ASSERT_TRUE(ans.ok());
   EXPECT_TRUE(verifier.VerifySelectionStatic(0, 127, ans.value()).ok());
 }
 
 TEST_F(ConcurrencyTest, MultiClientDriverSmoke) {
-  auto server = MakeServer(4, 2, 256);
+  auto server = MakeServer(4, 256);
   std::vector<SignedRecordUpdate> updates;
   for (int i = 0; i < 20; ++i) {
     int64_t key = static_cast<int64_t>(rng_->Uniform(256));

@@ -72,7 +72,6 @@ class FreshnessPipelineTest : public ::testing::Test {
                                                  int64_t n_keys) {
     cfg_ = ServerConfig();
     cfg_.node.record_len = 128;
-    cfg_.serving.worker_threads = shards;
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, n_keys - 1), cfg_);
     std::vector<Record> records;
@@ -98,7 +97,6 @@ class FreshnessPipelineTest : public ::testing::Test {
                                                      int64_t stride = 1) {
     cfg_ = ServerConfig();
     cfg_.node.record_len = 128;
-    cfg_.serving.worker_threads = shards;
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_,
         ShardRouter::Uniform(shards, 0,
@@ -306,6 +304,48 @@ TEST_F(FreshnessPipelineTest, ConcurrentIngestAndEpochVerifiedReads) {
                   .VerifySelectionFresh(0, 127, ans.value(),
                                         clock_.NowMicros(), /*min_epoch=*/4)
                   .ok());
+}
+
+TEST_F(FreshnessPipelineTest, AnswersNeverTrailTheTrackersEpoch) {
+  // PublishEpoch swaps the new descriptor in before it advances the
+  // tracker, so a reader that saw epoch e on the tracker is served an
+  // epoch >= e by any later read. Readers race ~200 direct-path barriers.
+  auto server = MakeServer(2, 64);
+  std::atomic<bool> done{false};
+  std::atomic<size_t> reads{0};
+  std::atomic<size_t> behind{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(900 + t);
+      do {
+        const uint64_t seen = server->freshness_tracker().current_epoch();
+        int64_t lo = static_cast<int64_t>(rng.Uniform(60));
+        auto ans = server->Execute(Query::Select(lo, lo + 3));
+        ++reads;
+        if (!ans.ok() || ans.value().served_epoch < seen) ++behind;
+      } while (!done.load(std::memory_order_relaxed));
+    });
+  }
+  // Pace the barriers so the readers run between (and across) them.
+  auto wait_for_reads = [&reads](size_t n) {
+    while (reads.load() < n) std::this_thread::yield();
+  };
+  constexpr uint64_t kBarriers = 200;
+  for (uint64_t seq = 0; seq < kBarriers; ++seq) {
+    wait_for_reads(reads.load() + 3);
+    UpdateSummary summary;
+    summary.seq = seq;
+    summary.publish_ts = clock_.NowMicros() + seq;
+    server->AddSummary(std::move(summary));
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(behind.load(), 0u);
+  EXPECT_EQ(server->freshness_tracker().current_epoch(), kBarriers);
+  EXPECT_EQ(server->PinCurrentEpoch()->epoch, kBarriers);
 }
 
 TEST_F(FreshnessPipelineTest, CrossSeamChurnServesPinnedSnapshots) {

@@ -36,7 +36,6 @@ const char* const kStableNames[] = {
     "exec.bloom.fp_fallbacks",
     "exec.bloom.delta_merges",
     "exec.bloom.full_rebuilds",
-    "exec.cache.retunes",
     "exec.last_epoch",
     "admission.enabled",
     "admission.admitted_total",

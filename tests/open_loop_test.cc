@@ -250,10 +250,9 @@ class OpenLoopTest : public ::testing::Test {
     return server;
   }
 
-  static ServerConfig Config(size_t workers) {
+  static ServerConfig Config() {
     ServerConfig cfg;
     cfg.node.record_len = 128;
-    cfg.serving.worker_threads = workers;
     return cfg;
   }
 
@@ -266,7 +265,7 @@ class OpenLoopTest : public ::testing::Test {
 std::shared_ptr<const BasContext>* OpenLoopTest::ctx_ = nullptr;
 
 TEST_F(OpenLoopTest, RunAccountsEveryArrivalWithoutAdmission) {
-  auto server = MakeServer(Config(2), 2, 64);
+  auto server = MakeServer(Config(), 2, 64);
   OpenLoopOptions o;
   o.target_qps = 20000.0;  // fast test; the tiny relation keeps up
   o.total_arrivals = 200;
@@ -294,7 +293,7 @@ TEST_F(OpenLoopTest, RunAccountsEveryArrivalWithoutAdmission) {
 }
 
 TEST_F(OpenLoopTest, VerifierDistinguishesShedFromTamperedAndStale) {
-  auto server = MakeServer(Config(2), 2, 64);
+  auto server = MakeServer(Config(), 2, 64);
   const Query q = Query::Select(8, 15);
   auto served = server->Execute(q);
   ASSERT_TRUE(served.ok());
@@ -329,7 +328,7 @@ TEST_F(OpenLoopTest, VerifierDistinguishesShedFromTamperedAndStale) {
 }
 
 TEST_F(OpenLoopTest, OverloadShedsBulkFirstAndCountsAgree) {
-  ServerConfig cfg = Config(2);
+  ServerConfig cfg = Config();
   cfg.admission.enabled = true;
   cfg.admission.max_inflight_plans = 2;
   cfg.admission.queue_depth = 2;
@@ -361,9 +360,8 @@ TEST_F(OpenLoopTest, OverloadShedsBulkFirstAndCountsAgree) {
 }
 
 TEST_F(OpenLoopTest, MetricsSnapshotsAreMonotonicUnderConcurrentReaders) {
-  auto server = MakeServer(Config(4), 4, 128);
-  ServerConfig scfg = Config(4);
-  UpdateStream stream(server.get(), scfg);
+  auto server = MakeServer(Config(), 4, 128);
+  UpdateStream stream(server.get(), Config());
 
   std::atomic<bool> done{false};
   std::atomic<size_t> violations{0};

@@ -63,7 +63,6 @@ class QueryExecTest : public ::testing::Test {
 
     ServerConfig cfg;
     cfg.node.record_len = 128;
-    cfg.serving.worker_threads = 2;
     server_ = std::make_unique<ShardedQueryServer>(
         *ctx_,
         ShardRouter({JoinCompositeKey(30, 1), JoinCompositeKey(50, 0),

@@ -44,7 +44,6 @@ class ShardedServerTest : public ::testing::Test {
   void Load(size_t shards, const std::vector<int64_t>& keys) {
     ServerConfig cfg;
     cfg.node.record_len = 128;
-    cfg.serving.worker_threads = 2;
     server_ = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, 198), cfg);
     QueryServer::Options qopt;
@@ -287,36 +286,6 @@ TEST_F(ShardedServerTest, PerShardSigCacheKeepsAnswersVerifiable) {
   auto ans = server_->Select(50, 70);
   ASSERT_TRUE(ans.ok());
   EXPECT_TRUE(verifier_->VerifySelection(50, 70, ans.value(), Now()).ok());
-}
-
-TEST_F(ShardedServerTest, OnlineRetuneSwapsPlansAndKeepsAnswersExact) {
-  Load(4, EvenKeys());
-  server_->EnableSigCache(SigCache::RefreshMode::kLazy, 4);
-  // Drive a leaf-heavy mix (ranges the harmonic plan covers poorly), then
-  // retune: the observed leaf share pulls the blended distribution toward
-  // uniform, so at least one shard's plan must change.
-  Rng rng(47);
-  for (int trial = 0; trial < 30; ++trial) {
-    int64_t lo = static_cast<int64_t>(rng.Uniform(120));
-    int64_t hi = lo + 40 + static_cast<int64_t>(rng.Uniform(60));
-    ASSERT_TRUE(server_->Select(lo, hi).ok());
-  }
-  const ServerMetrics before = server_->Metrics();
-  EXPECT_GT(before.exec.agg_leaf_fetches, 0u);
-  size_t installs = server_->RetuneSigCache();
-  EXPECT_GT(installs, 0u);
-  EXPECT_EQ(server_->Metrics().Delta(before).exec.cache_retunes, installs);
-  // An immediate second retune observes no new traffic: the blend weight
-  // collapses to pure harmonic, so plans change back — and a third is a
-  // no-op (identical plans keep their windows).
-  size_t back = server_->RetuneSigCache();
-  EXPECT_GT(back, 0u);
-  EXPECT_EQ(server_->RetuneSigCache(), 0u);
-  // Answers after the swaps still verify and match the reference.
-  for (int trial = 0; trial < 10; ++trial) {
-    int64_t lo = static_cast<int64_t>(rng.Uniform(180));
-    ExpectMatchesReference(lo, lo + static_cast<int64_t>(rng.Uniform(60)));
-  }
 }
 
 }  // namespace
