@@ -82,18 +82,11 @@ IngestTape MakeTape(DataAggregator* da, const PipelineWorkload& w, Rng* rng,
   return tape;
 }
 
-ServerConfig PipelineConfig() {
-  ServerConfig cfg;
-  cfg.node.record_len = 128;
-  return cfg;
-}
-
 std::unique_ptr<ShardedQueryServer> MakeServer(
     const std::shared_ptr<const BasContext>& ctx, const PipelineWorkload& w,
     size_t shards) {
   auto server = std::make_unique<ShardedQueryServer>(
-      ctx, ShardRouter::Uniform(shards, w.key_lo, w.key_hi),
-      PipelineConfig());
+      ctx, ShardRouter::Uniform(shards, w.key_lo, w.key_hi), ServerConfig());
   for (const auto& msg : w.bulk) {
     Status s = server->ApplyUpdate(msg);
     AUTHDB_CHECK(s.ok());
@@ -161,7 +154,7 @@ void Run(bench::BenchRun* run) {
     double ingest_rate = 0;
     double publish_mean = 0;
     {
-      UpdateStream stream(server.get(), PipelineConfig());
+      UpdateStream stream(server.get(), ServerConfig());
       Stopwatch sw;
       for (const IngestTape::Entry& e : tape.entries) {
         if (e.is_summary) {
@@ -197,7 +190,7 @@ void Run(bench::BenchRun* run) {
 
     double live_qps = 0;
     {
-      UpdateStream stream(server.get(), PipelineConfig());
+      UpdateStream stream(server.get(), ServerConfig());
       std::atomic<bool> stop{false};
       std::thread producer([&] {
         Rng prng(31);

@@ -113,7 +113,6 @@ void Run(bench::BenchRun* run) {
   // Self-throttling clients with no batching amortization: the sustainable
   // per-plan serving rate that 2x overload is defined against.
   ServerConfig base_cfg;
-  base_cfg.node.record_len = 128;
   {
     Result<ServerConfig> v = base_cfg.Validated();
     AUTHDB_CHECK(v.ok());

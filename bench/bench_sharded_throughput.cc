@@ -37,7 +37,6 @@ double RunShards(const std::shared_ptr<const BasContext>& ctx,
                  const Workload& w, size_t shards,
                  MultiClientReport* report_out) {
   ServerConfig cfg;
-  cfg.node.record_len = 128;
   ShardedQueryServer server(
       ctx, ShardRouter::Uniform(shards, 0,
                                 static_cast<int64_t>(w.n_records) - 1),

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Structural invariant linter for the authdb tree.
 
-Nine rules, each protecting a contract the compiler cannot see:
+Eight rules, each protecting a contract the compiler cannot see:
 
 * ``epoch-pin`` — read paths of ``ShardedQueryServer`` (its ``const``
   member functions in ``src/server/sharded_query_server.cc``) must reach
@@ -47,11 +47,6 @@ Nine rules, each protecting a contract the compiler cannot see:
   a second, drifting surface that benches and tests will reach for
   directly.
 
-* ``metrics-doc`` — every dotted counter name quoted in
-  ``src/server/metrics.cc`` (the stable ``Flatten()`` contract) must
-  appear in the README metrics table. The names are a published API;
-  an undocumented one is unfindable and gets renamed by accident.
-
 * ``crypto-batch`` — the crypto hot-path files (``core/chain.h``,
   ``core/sigcache.cc``, ``core/verifier.cc``,
   ``server/batch_exec.cc``) must not fold digests or finalize
@@ -74,9 +69,8 @@ Nine rules, each protecting a contract the compiler cannot see:
   ``BloomFilter::ProbeMany`` batches (bulk hashing plus a block
   prefetch sweep over the cache-line-blocked layout). Group a plan's
   unmatched probe values by covering partition and issue one ProbeMany
-  per group. Deliberate scalar sites — the ablation path behind
-  ``ServerConfig::Serving::scalar_bloom_probes`` — take the
-  allow-escape with a comment saying why.
+  per group. A deliberate scalar site takes the allow-escape with a
+  comment saying why.
 
 Escape hatch: a violating line is accepted when it (or the line directly
 above it) carries ``// authdb-lint: allow(<rule>)`` — use sparingly and
@@ -368,31 +362,6 @@ def check_stats_surface(server_files, metrics_text):
 
 
 # --------------------------------------------------------------------------
-# Rule: metrics-doc
-
-METRIC_NAME_RE = re.compile(
-    r"\"((?:exec|admission|epoch|ingest)\.[a-z0-9_.]*)\"")
-
-
-def check_metrics_doc(relpath, metrics_cc_text, readme_text):
-    findings = []
-    lines = metrics_cc_text.splitlines()
-    for idx, line in enumerate(lines):
-        code = _strip_line_comment(line)
-        for m in METRIC_NAME_RE.finditer(code):
-            name = m.group(1).rstrip(".")  # per-shard prefixes end with '.'
-            if name in readme_text:
-                continue
-            if not _allowed(lines, idx, "metrics-doc"):
-                findings.append(Finding(
-                    "metrics-doc", relpath, idx + 1,
-                    "metric %r is not documented in the README metrics "
-                    "table — Flatten() names are a stable, published "
-                    "contract" % name))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # Rule: crypto-batch
 
 CRYPTO_BATCH_FILES = (
@@ -515,13 +484,6 @@ def lint_tree(root):
                         if p.suffix in (".h", ".cc")]
         findings.extend(check_stats_surface(server_files, metrics_text))
 
-    metrics_cc = root / "src/server/metrics.cc"
-    readme = root / "README.md"
-    if metrics_cc.is_file() and readme.is_file():
-        findings.extend(check_metrics_doc(
-            metrics_cc.relative_to(root).as_posix(),
-            metrics_cc.read_text(), readme.read_text()))
-
     for name in CRYPTO_BATCH_FILES:
         p = root / name
         if p.is_file():
@@ -613,16 +575,6 @@ struct ServerMetrics { };
 void Fold(const FoldedStats& s);
 """
 
-SELFTEST_METRICS_DOC_CC = """\
-  put("exec.batches", static_cast<double>(exec.batches));
-  put("exec.undocumented_thing", 0.0);
-  out.emplace_back(std::string("exec.batch.shard_busy_us.") + sfx, 0.0);
-"""
-SELFTEST_METRICS_DOC_README = """\
-| `exec.batches` | ExecuteBatch calls served |
-| `exec.batch.shard_busy_us.<s>` | per-shard busy time |
-"""
-
 SELFTEST_CRYPTO_BATCH = """\
 void Hot(const Record* recs, size_t n, Digest160* out) {
   Digest160 d = Sha1::Hash(msg);                  // flagged
@@ -642,7 +594,7 @@ void Stitch(const CertifiedPartition* part, int64_t a) {
   bool hit = part->filter.MayContainInt64(a);       // flagged
   bool hit2 = part->filter.MayContain(key);         // flagged
   part->filter.ProbeMany(keys.data(), n, out);      // batched: silent
-  // authdb-lint: allow(bloom-batch) ablation-only scalar probe path
+  // authdb-lint: allow(bloom-batch) deliberate single-key probe
   bool hit3 = part->filter.MayContainInt64(a);      // escaped: silent
 }
 """
@@ -687,19 +639,13 @@ def self_test():
     expect("seeded orphan stats struct", stats, "stats-surface", 1)
     if stats and stats[0].path != "src/server/orphan.h":
         failures.append("stats-surface flagged the wrong file: %r" % (stats,))
-    # Undocumented metric name caught; the documented scalar and the
-    # per-shard prefix (matched with its '.' suffix trimmed) stay silent.
-    expect("seeded undocumented metric",
-           check_metrics_doc("fake.cc", SELFTEST_METRICS_DOC_CC,
-                             SELFTEST_METRICS_DOC_README),
-           "metrics-doc", 1)
     # Three scalar crypto calls caught; the batched siblings and the
     # allow-escaped single-shot site stay silent.
     expect("seeded scalar crypto",
            check_crypto_batch("fake.cc", SELFTEST_CRYPTO_BATCH),
            "crypto-batch", 3)
     # Two per-key probes caught; the ProbeMany call and the allow-escaped
-    # ablation site stay silent.
+    # site stay silent.
     expect("seeded scalar bloom probe",
            check_bloom_batch("fake.cc", SELFTEST_BLOOM_BATCH),
            "bloom-batch", 2)
@@ -732,8 +678,7 @@ def main(argv):
         print("%d invariant violation(s)" % len(findings), file=sys.stderr)
         return 1
     print("invariants ok: epoch-pin, raw-mutex, test-labels, bench-json, "
-          "batch-path, stats-surface, metrics-doc, crypto-batch, "
-          "bloom-batch")
+          "batch-path, stats-surface, crypto-batch, bloom-batch")
     return 0
 
 

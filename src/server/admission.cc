@@ -109,7 +109,7 @@ void AdmissionController::Release(size_t n) {
 
 void AdmissionController::Snapshot(ServerMetrics::Admission* out) const {
   MutexLock lock(mu_);
-  out->enabled = true;
+  out->enabled = 1;
   out->admitted_total = admitted_total_;
   out->shed_total = shed_total_;
   out->select_admitted = select_admitted_;

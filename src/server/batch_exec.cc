@@ -38,9 +38,9 @@ namespace authdb {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-uint64_t ElapsedUs(Clock::time_point a, Clock::time_point b) {
+uint64_t Micros(Clock::duration d) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
+      std::chrono::duration_cast<std::chrono::microseconds>(d).count());
 }
 }  // namespace
 
@@ -49,10 +49,10 @@ class BatchEngine {
   BatchEngine(const ShardedQueryServer& srv, const EpochDescriptor& desc)
       : srv_(srv), desc_(desc), curve_(srv.ctx_->curve()) {}
 
-  /// Execute the batch, filling `stats` (one call's tally — the caller
-  /// folds it into the server's cumulative MetricsCore).
+  /// Execute the batch, filling `tally` with this one call's counters (the
+  /// caller folds it into the server's cumulative MetricsCore).
   std::vector<Result<QueryAnswer>> Run(const PlanBatch& batch,
-                                       BatchExecStats* stats);
+                                       ServerMetrics::Exec* tally);
 
  private:
   /// One selection/projection sub-range on one shard (a router cover
@@ -109,13 +109,13 @@ class BatchEngine {
 
   Result<QueryAnswer> StitchSelect(size_t p, const Query& q,
                                    BasAccumulator* acc, bool* needs_final,
-                                   BatchExecStats* bs);
+                                   ServerMetrics::Exec* bs);
   Result<QueryAnswer> StitchProject(size_t p, const Query& q,
                                     BasAccumulator* acc, bool* needs_final,
-                                    BatchExecStats* bs);
+                                    ServerMetrics::Exec* bs);
   Result<QueryAnswer> StitchJoin(size_t p, const Query& q,
                                  BasAccumulator* acc, bool* needs_final,
-                                 BatchExecStats* bs);
+                                 ServerMetrics::Exec* bs);
 
   const ShardedQueryServer& srv_;
   const EpochDescriptor& desc_;
@@ -222,10 +222,18 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
   std::vector<SigCache::RangeSpec> cache_ranges;
   std::vector<size_t> cache_req;  ///< RangeRes index per cache range
 
+  // Per-kind busy time accumulates as durations and converts to whole µs
+  // once per visit; a unit usually takes well under 1 µs. Each unit is
+  // charged from the end of the previous one, so the slices never overlap.
   EpochSnapshot::ForwardCursor cur(snap);
-  uint64_t select_us = 0, project_us = 0, join_us = 0;
+  Clock::duration select_t{}, project_t{}, join_t{};
+  Clock::time_point t0 = Clock::now();
+  auto charge = [&t0](Clock::duration* slice) {
+    const Clock::time_point now = Clock::now();
+    *slice += now - t0;
+    t0 = now;
+  };
   for (const Unit& u : units) {
-    const Clock::time_point t0 = Clock::now();
     if (u.probe) {
       const ProbeReq& req = probe_reqs_[u.idx];
       ProbeRes& res = probe_res_[u.idx];
@@ -241,7 +249,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
           res.items.push_back(&item);
         });
       }
-      join_us += ElapsedUs(t0, Clock::now());
+      charge(&join_t);
       continue;
     }
     const RangeReq& req = range_reqs_[u.idx];
@@ -249,7 +257,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
     size_t lo_r = cur.LowerBound(req.lo);
     size_t hi_r = cur.UpperBoundFrom(lo_r, req.hi);
     if (lo_r == hi_r) {  // no hits in this shard
-      (req.project ? project_us : select_us) += ElapsedUs(t0, Clock::now());
+      charge(req.project ? &project_t : &select_t);
       continue;
     }
     res.nonempty = true;
@@ -272,7 +280,7 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
         res.agg_stats.point_adds +=
             res.items.empty() ? 0 : res.items.size() - 1;
       }
-      select_us += ElapsedUs(t0, Clock::now());
+      charge(&select_t);
     } else {
       const std::vector<uint32_t>& attrs = plan_attrs_[req.plan];
       BasAccumulator acc;
@@ -315,14 +323,14 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
         res.digests.resize(spine.size());
         RecordDigestMany(spine.data(), spine.size(), res.digests.data());
       }
-      project_us += ElapsedUs(t0, Clock::now());
+      charge(&project_t);
     }
   }
 
   if (!cache_ranges.empty()) {
     // Every cached selection sub-range of this visit in ONE tagged call:
     // one lock hold, one shared inversion across window fills + results.
-    const Clock::time_point t0 = Clock::now();
+    t0 = Clock::now();
     std::vector<SigCache::AggStats> per_range(cache_ranges.size());
     std::vector<BasSignature> sigs = cache->RangeAggregateBatch(
         cache_ranges, snap.generation(),
@@ -335,19 +343,19 @@ void BatchEngine::Visit(size_t shard, const std::vector<size_t>& rr,
       range_res_[cache_req[k]].agg_stats = per_range[k];
     }
     ++*finalizes;
-    select_us += ElapsedUs(t0, Clock::now());
+    charge(&select_t);
   }
 
-  busy->select_us += select_us;
-  busy->project_us += project_us;
-  busy->join_us += join_us;
-  busy->visit_us += ElapsedUs(visit_start, Clock::now());
+  busy->select_us += Micros(select_t);
+  busy->project_us += Micros(project_t);
+  busy->join_us += Micros(join_t);
+  busy->visit_us += Micros(Clock::now() - visit_start);
 }
 
 Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
                                               BasAccumulator* acc,
                                               bool* needs_final,
-                                              BatchExecStats* bs) {
+                                              ServerMetrics::Exec* bs) {
   const PlanWork& work = work_[p];
   QueryAnswer answer;
   answer.kind = QueryKind::kSelect;
@@ -431,7 +439,7 @@ Result<QueryAnswer> BatchEngine::StitchSelect(size_t p, const Query& q,
 Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
                                                BasAccumulator* acc,
                                                bool* needs_final,
-                                               BatchExecStats* bs) {
+                                               ServerMetrics::Exec* bs) {
   const PlanWork& work = work_[p];
   QueryAnswer answer;
   answer.kind = QueryKind::kProject;
@@ -503,7 +511,7 @@ Result<QueryAnswer> BatchEngine::StitchProject(size_t p, const Query& q,
 Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
                                             BasAccumulator* acc,
                                             bool* needs_final,
-                                            BatchExecStats* bs) {
+                                            ServerMetrics::Exec* bs) {
   const PlanWork& work = work_[p];
   static const std::vector<CertifiedPartition> kNoPartitions;
   const std::vector<CertifiedPartition>& partitions =
@@ -516,9 +524,7 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
   // Batched Bloom pre-pass (the join hot path): every unmatched probe
   // value is grouped by its covering partition and the group goes through
   // ONE ProbeMany call — bulk hashing plus a block-prefetch sweep over
-  // the filter — before the stitch walk below consumes the verdicts. The
-  // scalar_bloom_probes ablation flag forces the legacy per-key probe so
-  // CI can measure what batching buys; answers are identical either way.
+  // the filter — before the stitch walk below consumes the verdicts.
   std::vector<const CertifiedPartition*> cover(work.values.size(), nullptr);
   std::vector<uint8_t> maybe(work.values.size(), 0);
   if (q.join_method == JoinMethod::kBloomFilter && !partitions.empty()) {
@@ -539,18 +545,14 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
     }
     for (const auto& [part, vis] : by_part) {
       bs->bloom_probes += vis.size();
-      if (srv_.config_.serving.scalar_bloom_probes) {
-        for (size_t vi : vis)
-          // authdb-lint: allow(bloom-batch) ablation-only scalar probe path
-          maybe[vi] = part->filter.MayContainInt64(work.values[vi]) ? 1 : 0;
-      } else {
-        std::vector<int64_t> keys(vis.size());
-        for (size_t i = 0; i < vis.size(); ++i) keys[i] = work.values[vis[i]];
-        std::vector<uint8_t> hits(vis.size());
-        part->filter.ProbeMany(keys.data(), keys.size(), hits.data());
-        for (size_t i = 0; i < vis.size(); ++i) maybe[vis[i]] = hits[i];
+      std::vector<int64_t> keys(vis.size());
+      for (size_t i = 0; i < vis.size(); ++i) keys[i] = work.values[vis[i]];
+      std::vector<uint8_t> hits(vis.size());
+      part->filter.ProbeMany(keys.data(), keys.size(), hits.data());
+      for (size_t i = 0; i < vis.size(); ++i) {
+        maybe[vis[i]] = hits[i];
+        bs->bloom_block_hits += hits[i];
       }
-      for (size_t vi : vis) bs->bloom_block_hits += maybe[vi];
     }
   }
 
@@ -660,12 +662,13 @@ Result<QueryAnswer> BatchEngine::StitchJoin(size_t p, const Query& q,
 }
 
 std::vector<Result<QueryAnswer>> BatchEngine::Run(const PlanBatch& batch,
-                                                  BatchExecStats* stats) {
+                                                  ServerMetrics::Exec* tally) {
   const std::vector<Query>& plans = batch.plans;
   const size_t n_shards = desc_.shards.size();
 
-  BatchExecStats& bs = *stats;
-  bs.epoch = desc_.epoch;
+  ServerMetrics::Exec& bs = *tally;
+  bs.batches = 1;
+  bs.last_epoch = desc_.epoch;
   bs.plans = plans.size();
   bs.shard_busy.resize(n_shards);
 
@@ -763,10 +766,10 @@ std::vector<Result<QueryAnswer>> ShardedQueryServer::ExecuteBatch(
     const PlanBatch& batch) const {
   std::shared_ptr<const EpochDescriptor> desc = PinCurrentEpoch();
   if (admission_ == nullptr) {
-    BatchExecStats bs;
+    ServerMetrics::Exec tally;
     BatchEngine engine(*this, *desc);
-    std::vector<Result<QueryAnswer>> out = engine.Run(batch, &bs);
-    metrics_.FoldBatch(bs);
+    std::vector<Result<QueryAnswer>> out = engine.Run(batch, &tally);
+    metrics_.FoldBatch(tally);
     return out;
   }
 
@@ -778,10 +781,10 @@ std::vector<Result<QueryAnswer>> ShardedQueryServer::ExecuteBatch(
   const uint64_t retry_us = admission_->retry_after_micros();
 
   if (granted == batch.plans.size()) {
-    BatchExecStats bs;
+    ServerMetrics::Exec tally;
     BatchEngine engine(*this, *desc);
-    std::vector<Result<QueryAnswer>> out = engine.Run(batch, &bs);
-    metrics_.FoldBatch(bs);
+    std::vector<Result<QueryAnswer>> out = engine.Run(batch, &tally);
+    metrics_.FoldBatch(tally);
     admission_->Release(granted);
     return out;
   }
@@ -793,10 +796,10 @@ std::vector<Result<QueryAnswer>> ShardedQueryServer::ExecuteBatch(
     for (size_t i = 0; i < batch.plans.size(); ++i) {
       if (admitted[i]) sub.plans.push_back(batch.plans[i]);
     }
-    BatchExecStats bs;
+    ServerMetrics::Exec tally;
     BatchEngine engine(*this, *desc);
-    ran = engine.Run(sub, &bs);
-    metrics_.FoldBatch(bs);
+    ran = engine.Run(sub, &tally);
+    metrics_.FoldBatch(tally);
     admission_->Release(granted);
   }
 

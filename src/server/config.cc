@@ -3,11 +3,9 @@
 namespace authdb {
 
 Result<ServerConfig> ServerConfig::Validated() const {
-  if (node.record_len == 0)
-    return Status::InvalidArgument("node.record_len must be >= 1");
-  if (node.summaries_retained == 0) {
+  if (serving.summaries_retained == 0) {
     return Status::InvalidArgument(
-        "node.summaries_retained must be >= 1 (every epoch carries its "
+        "serving.summaries_retained must be >= 1 (every epoch carries its "
         "summary run)");
   }
   if (ingest.max_queue_depth == 0) {

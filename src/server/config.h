@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "common/result.h"
-#include "core/query_server.h"
 
 namespace authdb {
 
@@ -14,11 +13,8 @@ namespace authdb {
 /// `UpdateStream::Options` pair (and absorbed the admission-control knobs
 /// that would otherwise have become a fourth ad-hoc struct):
 ///
-///   node      — the per-shard storage/evidence layer (the core
-///               QueryServer::Options, embedded verbatim so the
-///               single-node reference path and the sharded server can
-///               never drift on record layout or summary retention);
-///   serving   — the read path + epoch-GC layer (ShardedQueryServer);
+///   serving   — the read path, epoch GC and summary retention
+///               (ShardedQueryServer);
 ///   ingest    — the streaming apply layer (UpdateStream);
 ///   admission — overload control on the read path (AdmissionController).
 ///
@@ -27,11 +23,6 @@ namespace authdb {
 /// (ShardedQueryServer, UpdateStream) CHECK-fails on an invalid config so
 /// a bad knob can never silently serve.
 struct ServerConfig {
-  /// Per-shard storage/evidence layer (core). `record_len` sizes the
-  /// fixed-length record pages; `summaries_retained` bounds the summary
-  /// run carried by every published epoch.
-  QueryServer::Options node;
-
   struct Serving {
     /// Epoch GC backpressure: maximum number of *superseded* epochs that
     /// stalled readers may keep pinned before PublishEpoch blocks waiting
@@ -39,12 +30,9 @@ struct ServerConfig {
     /// update stream's apply queues to the producer — memory stays bounded
     /// even against a wedged reader.
     size_t max_pinned_epochs = 0;
-    /// Ablation: force the legacy per-key Bloom probe on the join hot
-    /// path instead of the batched ProbeMany (no bulk hashing, no block
-    /// prefetch). Answers are identical — the filters are the same — so
-    /// this isolates what the batch probe buys (CI's scalar-probe bench
-    /// artifact). Never enable in production.
-    bool scalar_bloom_probes = false;
+    /// Length of the summary run carried by every published epoch (the
+    /// freshness evidence attached to answers); the oldest drop first.
+    size_t summaries_retained = 4096;
   } serving;
 
   struct Ingest {

@@ -218,7 +218,7 @@ void ShardedQueryServer::PublishEpoch(
   const uint64_t epoch = std::max(tracker_.current_epoch(), seq + 1);
   auto sums = std::make_shared<std::deque<UpdateSummary>>(*summaries_);
   sums->push_back(std::move(summary));
-  while (sums->size() > config_.node.summaries_retained) sums->pop_front();
+  while (sums->size() > config_.serving.summaries_retained) sums->pop_front();
   summaries_ = std::move(sums);
   InstallDescriptorLocked(epoch, std::move(snaps));
   tracker_.Publish(seq, publish_ts);

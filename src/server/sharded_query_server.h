@@ -12,7 +12,6 @@
 #include "core/epoch_snapshot.h"
 #include "core/freshness.h"
 #include "core/protocol.h"
-#include "core/query_server.h"
 #include "core/sigcache.h"
 #include "server/admission.h"
 #include "server/config.h"
@@ -297,7 +296,7 @@ class ShardedQueryServer {
   std::vector<std::unique_ptr<Shard>> shards_;
   FreshnessTracker tracker_;
   /// Cumulative execution counters (relaxed atomics; ExecuteBatch folds
-  /// one BatchExecStats per call, Metrics() snapshots).
+  /// one ServerMetrics::Exec tally per call, Metrics() snapshots).
   mutable MetricsCore metrics_;
   /// Present iff config_.admission.enabled.
   std::unique_ptr<AdmissionController> admission_;

@@ -45,7 +45,6 @@ StalenessAttackReport RunStalenessAttack(
   DataAggregator da(ctx, &clock, &rng, da_opt);
 
   ServerConfig cfg;
-  cfg.node.record_len = 128;
   ShardedQueryServer server(
       ctx,
       ShardRouter::Uniform(

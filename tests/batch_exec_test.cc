@@ -9,6 +9,7 @@
 // epoch barriers (the `concurrency` label puts it in the TSan CI lane).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -72,18 +73,12 @@ class BatchExecTest : public ::testing::Test {
   }
 
   /// A fresh 4-shard server over the loaded stream.
-  static ServerConfig Config() {
-    ServerConfig cfg;
-    cfg.node.record_len = 128;
-    return cfg;
-  }
-
   std::unique_ptr<ShardedQueryServer> MakeServer() {
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_,
         ShardRouter({JoinCompositeKey(30, 1), JoinCompositeKey(50, 0),
                      JoinCompositeKey(75, 0)}),
-        Config());
+        ServerConfig());
     for (const auto& msg : msgs_) EXPECT_TRUE(server->ApplyUpdate(msg).ok());
     server->SetJoinPartitions(da_->join_partitions());
     return server;
@@ -349,6 +344,65 @@ TEST_F(BatchExecTest, MetricsAccountShardVisitsAndFinalizes) {
   EXPECT_EQ(delta.exec.last_epoch, batched[0].value().served_epoch);
 }
 
+TEST_F(BatchExecTest, BusySlicesAddUpToTheVisitTime) {
+  // One shard, 2000 matched join values: each probe takes well under 1 µs,
+  // so the per-kind slices must add sub-µs units up before rounding or the
+  // join slice reads 0 while the visit reads hundreds of µs. Repeated
+  // because a preemption outside the probe loop can inflate one visit.
+  constexpr int64_t kValues = 2000;
+  std::vector<Record> records;
+  std::vector<int64_t> values;
+  for (int64_t b = 0; b < kValues; ++b) {
+    Record r;
+    r.attrs = {JoinCompositeKey(b, 0), b, b * 11};
+    records.push_back(r);
+    values.push_back(b);
+  }
+  auto stream = da_->BulkLoad(std::move(records));
+  ASSERT_TRUE(stream.ok());
+  ShardedQueryServer server(
+      *ctx_, ShardRouter::Uniform(1, 0, JoinCompositeKey(kValues, 0)),
+      ServerConfig());
+  for (const auto& msg : stream.value())
+    ASSERT_TRUE(server.ApplyUpdate(msg).ok());
+
+  std::vector<Query> selects, mixed;
+  for (int64_t b = 0; b < 1000; ++b) {
+    const int64_t k = JoinCompositeKey(b, 0);
+    selects.push_back(Query::Select(k, k));
+    if (b % 100 == 0) {
+      mixed.push_back(Query::Select(k, JoinCompositeKey(b + 50, 0)));
+      mixed.push_back(Query::Project(k, JoinCompositeKey(b + 50, 0), {1}));
+      mixed.push_back(Query::Join({b, b + 7, kValues + b},
+                                  JoinMethod::kBoundaryValues));
+    }
+  }
+  const std::vector<PlanBatch> batches = {
+      PlanBatch::Of({Query::Join(values, JoinMethod::kBoundaryValues)}),
+      PlanBatch::Of(selects), PlanBatch::Of(mixed)};
+
+  double best_join_share = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    for (size_t i = 0; i < batches.size(); ++i) {
+      const ServerMetrics before = server.Metrics();
+      for (const auto& r : server.ExecuteBatch(batches[i]))
+        ASSERT_TRUE(r.ok());
+      const ShardBusy busy =
+          server.Metrics().Delta(before).exec.shard_busy.at(0);
+      EXPECT_LE(busy.select_us + busy.project_us + busy.join_us,
+                busy.visit_us)
+          << "batch " << i;
+      if (i == 0) {
+        ASSERT_GT(busy.visit_us, 0u);
+        best_join_share = std::max(
+            best_join_share, static_cast<double>(busy.join_us) /
+                                 static_cast<double>(busy.visit_us));
+      }
+    }
+  }
+  EXPECT_GE(best_join_share, 0.5);
+}
+
 TEST_F(BatchExecTest, SigCacheWindowsKeepBatchByteEquivalent) {
   Load(DefaultS());
   // Sequential answers captured BEFORE the cache exists: the cached batch
@@ -383,7 +437,7 @@ TEST_F(BatchExecTest, SigCacheWindowsKeepBatchByteEquivalent) {
 // the `concurrency` suite label.
 TEST_F(BatchExecTest, BatchesStayConsistentUnderLiveIngestAcrossEpochs) {
   Load(DefaultS());
-  UpdateStream stream(server_.get(), Config());
+  UpdateStream stream(server_.get(), ServerConfig());
   std::vector<Query> plans = MixedPlans();
 
   auto first = server_->ExecuteBatch(PlanBatch::Of(plans));

@@ -43,7 +43,6 @@ class ConcurrencyTest : public ::testing::Test {
   std::unique_ptr<ShardedQueryServer> MakeServer(size_t shards,
                                                  int64_t n_keys) {
     ServerConfig cfg;
-    cfg.node.record_len = 128;
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, n_keys - 1), cfg);
     std::vector<Record> records;

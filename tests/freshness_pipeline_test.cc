@@ -71,7 +71,6 @@ class FreshnessPipelineTest : public ::testing::Test {
   std::unique_ptr<ShardedQueryServer> MakeServer(size_t shards,
                                                  int64_t n_keys) {
     cfg_ = ServerConfig();
-    cfg_.node.record_len = 128;
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, n_keys - 1), cfg_);
     std::vector<Record> records;
@@ -96,7 +95,6 @@ class FreshnessPipelineTest : public ::testing::Test {
                                                      uint32_t dups,
                                                      int64_t stride = 1) {
     cfg_ = ServerConfig();
-    cfg_.node.record_len = 128;
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_,
         ShardRouter::Uniform(shards, 0,

@@ -250,12 +250,6 @@ class OpenLoopTest : public ::testing::Test {
     return server;
   }
 
-  static ServerConfig Config() {
-    ServerConfig cfg;
-    cfg.node.record_len = 128;
-    return cfg;
-  }
-
   static std::shared_ptr<const BasContext>* ctx_;
   ManualClock clock_;
   std::unique_ptr<Rng> rng_;
@@ -265,7 +259,7 @@ class OpenLoopTest : public ::testing::Test {
 std::shared_ptr<const BasContext>* OpenLoopTest::ctx_ = nullptr;
 
 TEST_F(OpenLoopTest, RunAccountsEveryArrivalWithoutAdmission) {
-  auto server = MakeServer(Config(), 2, 64);
+  auto server = MakeServer(ServerConfig(), 2, 64);
   OpenLoopOptions o;
   o.target_qps = 20000.0;  // fast test; the tiny relation keeps up
   o.total_arrivals = 200;
@@ -293,7 +287,7 @@ TEST_F(OpenLoopTest, RunAccountsEveryArrivalWithoutAdmission) {
 }
 
 TEST_F(OpenLoopTest, VerifierDistinguishesShedFromTamperedAndStale) {
-  auto server = MakeServer(Config(), 2, 64);
+  auto server = MakeServer(ServerConfig(), 2, 64);
   const Query q = Query::Select(8, 15);
   auto served = server->Execute(q);
   ASSERT_TRUE(served.ok());
@@ -328,7 +322,7 @@ TEST_F(OpenLoopTest, VerifierDistinguishesShedFromTamperedAndStale) {
 }
 
 TEST_F(OpenLoopTest, OverloadShedsBulkFirstAndCountsAgree) {
-  ServerConfig cfg = Config();
+  ServerConfig cfg;
   cfg.admission.enabled = true;
   cfg.admission.max_inflight_plans = 2;
   cfg.admission.queue_depth = 2;
@@ -360,8 +354,8 @@ TEST_F(OpenLoopTest, OverloadShedsBulkFirstAndCountsAgree) {
 }
 
 TEST_F(OpenLoopTest, MetricsSnapshotsAreMonotonicUnderConcurrentReaders) {
-  auto server = MakeServer(Config(), 4, 128);
-  UpdateStream stream(server.get(), Config());
+  auto server = MakeServer(ServerConfig(), 4, 128);
+  UpdateStream stream(server.get(), ServerConfig());
 
   std::atomic<bool> done{false};
   std::atomic<size_t> violations{0};

@@ -62,7 +62,6 @@ class QueryExecTest : public ::testing::Test {
                               /*bits_per_value=*/8.0);
 
     ServerConfig cfg;
-    cfg.node.record_len = 128;
     server_ = std::make_unique<ShardedQueryServer>(
         *ctx_,
         ShardRouter({JoinCompositeKey(30, 1), JoinCompositeKey(50, 0),

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
+#include "core/query_server.h"
 #include "core/verifier.h"
 
 namespace authdb {
@@ -43,7 +44,6 @@ class ShardedServerTest : public ::testing::Test {
   /// both fed the same bulk stream of records with the given keys.
   void Load(size_t shards, const std::vector<int64_t>& keys) {
     ServerConfig cfg;
-    cfg.node.record_len = 128;
     server_ = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, 198), cfg);
     QueryServer::Options qopt;

@@ -161,7 +161,6 @@ class SnapshotGcTest : public ::testing::Test {
                                                  int64_t n_keys,
                                                  size_t max_pinned_epochs) {
     cfg_ = ServerConfig();
-    cfg_.node.record_len = 128;
     cfg_.serving.max_pinned_epochs = max_pinned_epochs;
     auto server = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, n_keys - 1), cfg_);
