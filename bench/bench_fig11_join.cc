@@ -17,6 +17,7 @@
 #include "core/data_aggregator.h"
 #include "core/join.h"
 #include "crypto/bloom.h"
+#include "server/sharded_query_server.h"
 #include "workload/tpce.h"
 
 namespace authdb {
@@ -29,6 +30,7 @@ struct JoinBench {
   std::unique_ptr<DataAggregator> da;
   std::unique_ptr<JoinAuthority> authority;
   std::unique_ptr<TpceJoinWorkload> workload;
+  std::unique_ptr<ShardedQueryServer> server;  ///< one shard over S
   std::unique_ptr<JoinVerifier> verifier;
   SizeModel sm;
 
@@ -44,6 +46,9 @@ struct JoinBench {
     workload = std::make_unique<TpceJoinWorkload>(wcfg);
     auto stream = da->BulkLoad(workload->MakeHoldingRows());
     AUTHDB_CHECK(stream.ok());
+    server = std::make_unique<ShardedQueryServer>(ctx, ShardRouter({}),
+                                                  ServerConfig{});
+    AUTHDB_CHECK(server->ApplyUpdates(stream.value()).ok());
     authority = std::make_unique<JoinAuthority>(ctx, da->private_key(),
                                                 BasContext::HashMode::kFast);
     verifier = std::make_unique<JoinVerifier>(&da->public_key(),
@@ -56,18 +61,20 @@ struct JoinBench {
                                       bits_per_value, clock.NowMicros());
   }
 
-  /// Returns (BV KB, BF KB), verifying both answers.
+  /// Serves the join under both methods with `parts` installed and
+  /// returns (BV KB, BF KB), verifying both answers.
   std::pair<double, double> Measure(
       const std::vector<int64_t>& r_values,
       const std::vector<CertifiedPartition>& parts) {
-    JoinProver prover(ctx, &da->table(), &parts);
-    auto bv = prover.Join(r_values, JoinMethod::kBoundaryValues);
-    auto bf = prover.Join(r_values, JoinMethod::kBloomFilter);
+    server->SetJoinPartitions(parts);
+    auto bv =
+        server->Execute(Query::Join(r_values, JoinMethod::kBoundaryValues));
+    auto bf = server->Execute(Query::Join(r_values, JoinMethod::kBloomFilter));
     AUTHDB_CHECK(bv.ok() && bf.ok());
-    AUTHDB_CHECK(verifier->Verify(r_values, bv.value()).ok());
-    AUTHDB_CHECK(verifier->Verify(r_values, bf.value()).ok());
-    return {bv.value().vo_size_paper(sm) / 1024.0,
-            bf.value().vo_size_paper(sm) / 1024.0};
+    AUTHDB_CHECK(verifier->Verify(r_values, bv.value().join).ok());
+    AUTHDB_CHECK(verifier->Verify(r_values, bf.value().join).ok());
+    return {bv.value().join.vo_size_paper(sm) / 1024.0,
+            bf.value().join.vo_size_paper(sm) / 1024.0};
   }
 };
 

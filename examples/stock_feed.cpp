@@ -13,8 +13,8 @@
 
 #include "common/clock.h"
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
+#include "server/sharded_query_server.h"
 
 using namespace authdb;
 
@@ -35,16 +35,14 @@ int main() {
     r.attrs = {sym, /*price_cents=*/10'000 + sym * 13, /*bid*/ 0, /*ask*/ 0};
     records.push_back(r);
   }
-  QueryServer::Options qopt;
-  qopt.record_len = 128;
-  QueryServer honest_qs(ctx, qopt);
-  QueryServer lazy_qs(ctx, qopt);  // will silently stop applying updates
+  ShardedQueryServer honest_qs(ctx, ShardRouter({}), ServerConfig{});
+  // The lazy server will silently stop applying updates.
+  ShardedQueryServer lazy_qs(ctx, ShardRouter({}), ServerConfig{});
 
   auto stream = da.BulkLoad(std::move(records));
-  for (const auto& msg : stream.value()) {
-    honest_qs.ApplyUpdate(msg);
-    lazy_qs.ApplyUpdate(msg);
-  }
+  if (!stream.ok() || !honest_qs.ApplyUpdates(stream.value()).ok() ||
+      !lazy_qs.ApplyUpdates(stream.value()).ok())
+    return 1;
 
   VarintGapCodec codec;
   ClientVerifier client(&da.public_key(), &codec,
@@ -62,8 +60,8 @@ int main() {
                                           rng.Uniform(5000)),
                                 0, 0});
       if (!msg.ok()) continue;
-      honest_qs.ApplyUpdate(msg.value());
-      if (period < 2) lazy_qs.ApplyUpdate(msg.value());
+      if (!honest_qs.ApplyUpdate(msg.value()).ok()) return 1;
+      if (period < 2 && !lazy_qs.ApplyUpdate(msg.value()).ok()) return 1;
     }
     auto out = da.PublishSummary();
     std::printf("period %d: summary #%llu, %zu bytes compressed, %zu "
@@ -74,10 +72,9 @@ int main() {
     honest_qs.AddSummary(out.summary);
     lazy_qs.AddSummary(out.summary);  // summaries come from the trusted DA
     ++epochs_published;
-    for (const auto& rc : out.recertifications) {
-      honest_qs.ApplyUpdate(rc);
-      if (period < 2) lazy_qs.ApplyUpdate(rc);
-    }
+    if (!honest_qs.ApplyUpdates(out.recertifications).ok()) return 1;
+    if (period < 2 && !lazy_qs.ApplyUpdates(out.recertifications).ok())
+      return 1;
   }
 
   // The user asks both servers for the full board through the one real
@@ -86,6 +83,8 @@ int main() {
   uint64_t now = clock.NowMicros();
   Query board = Query::Select(0, 199);
   auto honest = honest_qs.Execute(board);
+  auto lazy = lazy_qs.Execute(board);
+  if (!honest.ok() || !lazy.ok()) return 1;
   Status honest_status = client.VerifyAnswerFresh(board, honest.value(), now,
                                                   epochs_published);
   std::printf("honest server: %zu records -> %s\n",
@@ -94,7 +93,6 @@ int main() {
 
   ClientVerifier client2(&da.public_key(), &codec,
                          BasContext::HashMode::kFast);
-  auto lazy = lazy_qs.Execute(board);
   Status lazy_status =
       client2.VerifyAnswerFresh(board, lazy.value(), now, epochs_published);
   std::printf("lazy server:   %zu records -> %s\n",

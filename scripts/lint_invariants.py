@@ -62,15 +62,16 @@ Eight rules, each protecting a contract the compiler cannot see:
   one boundary record) take the allow-escape with a comment saying why
   the batch cannot apply.
 
-* ``bloom-batch`` — the join hot-path files (``core/join.cc``,
-  ``server/batch_exec.cc``) must not probe the certified Bloom
-  partitions one key at a time: per-key ``MayContain`` /
-  ``MayContainInt64`` re-hashes and cache-misses per value what
-  ``BloomFilter::ProbeMany`` batches (bulk hashing plus a block
-  prefetch sweep over the cache-line-blocked layout). Group a plan's
-  unmatched probe values by covering partition and issue one ProbeMany
-  per group. A deliberate scalar site takes the allow-escape with a
-  comment saying why.
+* ``bloom-batch`` — the files that probe certified Bloom partitions
+  must not probe them one key at a time: the server's batch engine
+  (``server/batch_exec.cc``, the join hot path) and the client-side
+  ``JoinVerifier`` in ``core/join.cc``, which re-probes a join answer's
+  negative claims. Per-key ``MayContain`` / ``MayContainInt64``
+  re-hashes and cache-misses per value what ``BloomFilter::ProbeMany``
+  batches (bulk hashing plus a block prefetch sweep over the
+  cache-line-blocked layout). Group the probe values by covering
+  partition and issue one ProbeMany per group. A deliberate scalar site
+  takes the allow-escape with a comment saying why.
 
 Escape hatch: a violating line is accepted when it (or the line directly
 above it) carries ``// authdb-lint: allow(<rule>)`` — use sparingly and

@@ -60,13 +60,6 @@ Status AuthTable::Update(const Record& rec, const BasSignature& sig) {
   return index_.Update(rec.key(), Slice(EncodePayload(sig, rid)));
 }
 
-Status AuthTable::UpdateSignature(int64_t key, const BasSignature& sig) {
-  auto existing = index_.Get(key);
-  if (!existing.ok()) return existing.status();
-  auto [old_sig, rid] = DecodePayload(existing.value());
-  return index_.Update(key, Slice(EncodePayload(sig, rid)));
-}
-
 Status AuthTable::Delete(int64_t key) {
   auto existing = index_.Get(key);
   if (!existing.ok()) return existing.status();

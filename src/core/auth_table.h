@@ -16,7 +16,8 @@ namespace authdb {
 
 /// The ASign storage composition of Section 3.2 (Figure 2): a disk-based
 /// B+-tree whose leaf entries are <key, sn, rid> over an external record
-/// file. Both the data aggregator and the query server maintain one.
+/// file. The data aggregator keeps its master copy of the relation in one;
+/// the query servers serve from epoch snapshots (core/epoch_snapshot.h).
 ///
 /// The index payload is signature(64) | rid(8) = 72 bytes. (The paper
 /// stores 20-byte compressed ECC points; we serialize uncompressed points
@@ -36,8 +37,6 @@ class AuthTable {
   Status Insert(const Record& rec, const BasSignature& sig);
   /// Replace the record with the same indexed key (value modification).
   Status Update(const Record& rec, const BasSignature& sig);
-  /// Replace only the stored signature (re-certification / re-chaining).
-  Status UpdateSignature(int64_t key, const BasSignature& sig);
   Status Delete(int64_t key);
 
   Result<Item> GetByKey(int64_t key) const;
@@ -59,9 +58,7 @@ class AuthTable {
   std::vector<Item> ScanAll() const;
 
   uint64_t size() const { return index_.size(); }
-  uint32_t index_height() const { return index_.height(); }
   const RecordFile& records() const { return records_; }
-  uint32_t record_len() const { return records_.record_len(); }
 
  private:
   std::vector<uint8_t> EncodePayload(const BasSignature& sig,

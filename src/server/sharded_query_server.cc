@@ -73,7 +73,8 @@ Status ShardedQueryServer::ApplyToShardDeferred(
   return sh.builder.Apply(piece);
 }
 
-Status ShardedQueryServer::ApplyUpdate(const SignedRecordUpdate& msg) {
+Status ShardedQueryServer::ApplyUpdates(
+    const std::vector<SignedRecordUpdate>& msgs) {
   // publish_mu_ is held across the whole piece-apply loop AND the
   // republish: a concurrent publisher (another direct apply, AddSummary,
   // SetJoinPartitions) could otherwise freeze a seam-spanning message
@@ -81,15 +82,20 @@ Status ShardedQueryServer::ApplyUpdate(const SignedRecordUpdate& msg) {
   // descriptor every reader would pin as a torn re-chaining.
   MutexLock pub(publish_mu_);
   Status st = Status::OK();
-  for (const ShardPiece& sp : SplitByOwner(msg)) {
-    st = ApplyToShardDeferred(sp.shard, sp.piece);
-    // A piece failing to apply is a protocol violation (the DA's signed
-    // messages always apply cleanly); earlier pieces stay in place and the
-    // caller must treat the failure as fatal to the replica's integrity.
-    if (!st.ok()) break;
+  for (size_t i = 0; i < msgs.size() && st.ok(); ++i) {
+    for (const ShardPiece& sp : SplitByOwner(msgs[i])) {
+      st = ApplyToShardDeferred(sp.shard, sp.piece);
+      // A piece failing to apply is a protocol violation (the DA's signed
+      // messages always apply cleanly); earlier pieces stay in place.
+      if (!st.ok()) break;
+    }
   }
   RepublishLocked();
   return st;
+}
+
+Status ShardedQueryServer::ApplyUpdate(const SignedRecordUpdate& msg) {
+  return ApplyUpdates({msg});
 }
 
 std::shared_ptr<const EpochSnapshot> ShardedQueryServer::FreezeShard(
@@ -137,8 +143,8 @@ void ShardedQueryServer::InstallDescriptorLocked(
     MutexLock lk(pin_sync_->mu);
     retired_.emplace_back(old);
     // Keep the GC list from accumulating dead weak_ptrs on the
-    // direct-apply path (which installs a descriptor per message and
-    // never runs the backpressure prune).
+    // direct-apply path (which installs a descriptor per call and never
+    // runs the backpressure prune).
     if (retired_.size() > 64) LivePinnedLocked();
   }
 }
@@ -178,7 +184,7 @@ void ShardedQueryServer::PublishEpoch(
       backpressure_us = MonotonicMicros() - t0;
     }
   }
-  // Monotonicity guard: if a direct-path publication (ApplyUpdate /
+  // Monotonicity guard: if a direct-path publication (ApplyUpdates /
   // SetJoinPartitions / AddSummary) raced this barrier and already
   // published newer builder state for some shard, keep the newer version
   // — readers must never watch a record regress to an older generation

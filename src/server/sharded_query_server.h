@@ -72,7 +72,7 @@ struct EpochDescriptor {
 ///    refresh in one shared_ptr swap. Mid-period updates are therefore
 ///    invisible until their epoch publishes — `served_epoch` is exact, not
 ///    a lower bound.
-///  * The direct ApplyUpdate path (bootstrap, tests, tools) applies and
+///  * The direct ApplyUpdates path (bootstrap, tests, tools) applies and
 ///    republishes the current epoch immediately, preserving
 ///    read-your-writes for callers that do not run a stream.
 ///  * Epoch GC: a superseded descriptor is retired the moment its last
@@ -98,16 +98,21 @@ class ShardedQueryServer {
   ShardedQueryServer(std::shared_ptr<const BasContext> ctx,
                      ShardRouter router, const ServerConfig& config);
 
-  /// Replay a DA update message on the direct path: the message is split
-  /// by key ownership, applied to every owning shard's builder, and the
-  /// current epoch is republished so the change is immediately visible
-  /// (read-your-writes; the epoch number does not advance). Intended for
-  /// bootstrap, tests, and tools: each call pays one chunk
-  /// copy-on-write + descriptor install (O(chunk + chunks-per-shard)),
-  /// so bulk loads at production scale should prefer the streaming path
-  /// (ApplyToShardDeferred + one epoch publication), and direct
-  /// publications should not run concurrently with a live update
-  /// stream's mid-period ingest — see PublishEpoch's monotonicity guard.
+  /// Replay DA update messages on the direct path: every message is split
+  /// by key ownership and applied, in order, to the owning shards'
+  /// builders, and the current epoch is then republished ONCE so the
+  /// whole batch becomes visible together (read-your-writes; the epoch
+  /// number does not advance). One republication freezes each touched
+  /// chunk once, so a bulk load or a multi-record transaction should be
+  /// one call. Intended for bootstrap, tests, and tools: direct
+  /// publications should not run concurrently with a live update stream's
+  /// mid-period ingest — see PublishEpoch's monotonicity guard. On a
+  /// failing message the messages before it stay applied and are
+  /// published; the failure is a protocol violation the caller must treat
+  /// as fatal to the replica's integrity.
+  Status ApplyUpdates(const std::vector<SignedRecordUpdate>& msgs)
+      EXCLUDES(publish_mu_);
+  /// ApplyUpdates of one message.
   Status ApplyUpdate(const SignedRecordUpdate& msg) EXCLUDES(publish_mu_);
 
   /// One shard's slice of an update message, produced by SplitByOwner.

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "answer_oracle.h"
 #include "core/data_aggregator.h"
 #include "core/verifier.h"
 #include "server/sharded_query_server.h"
@@ -109,87 +110,10 @@ class BatchExecTest : public ::testing::Test {
     };
   }
 
-  bool PointsEqual(const BasSignature& a, const BasSignature& b) {
-    return (*ctx_)->curve().Equal(a.point, b.point);
-  }
-
-  void ExpectSameSelection(const SelectionAnswer& a, const SelectionAnswer& b) {
-    EXPECT_EQ(a.records, b.records);
-    EXPECT_EQ(a.left_key, b.left_key);
-    EXPECT_EQ(a.right_key, b.right_key);
-    ASSERT_EQ(a.proof_record.has_value(), b.proof_record.has_value());
-    if (a.proof_record) {
-      EXPECT_EQ(*a.proof_record, *b.proof_record);
-    }
-    EXPECT_TRUE(PointsEqual(a.agg_sig, b.agg_sig));
-    EXPECT_EQ(a.summaries.size(), b.summaries.size());
-    EXPECT_EQ(a.served_epoch, b.served_epoch);
-  }
-
-  void ExpectSameProjection(const ProjectedRangeAnswer& a,
-                            const ProjectedRangeAnswer& b) {
-    ASSERT_EQ(a.tuples.size(), b.tuples.size());
-    for (size_t i = 0; i < a.tuples.size(); ++i) {
-      EXPECT_EQ(a.tuples[i].rid, b.tuples[i].rid);
-      EXPECT_EQ(a.tuples[i].ts, b.tuples[i].ts);
-      EXPECT_EQ(a.tuples[i].attr_indices, b.tuples[i].attr_indices);
-      EXPECT_EQ(a.tuples[i].values, b.tuples[i].values);
-    }
-    EXPECT_EQ(a.digests, b.digests);
-    EXPECT_EQ(a.left_key, b.left_key);
-    EXPECT_EQ(a.right_key, b.right_key);
-    ASSERT_EQ(a.proof.has_value(), b.proof.has_value());
-    if (a.proof) {
-      EXPECT_EQ(a.proof->key, b.proof->key);
-      EXPECT_EQ(a.proof->rid, b.proof->rid);
-      EXPECT_EQ(a.proof->ts, b.proof->ts);
-      EXPECT_EQ(a.proof->digest, b.proof->digest);
-    }
-    EXPECT_TRUE(PointsEqual(a.agg_sig, b.agg_sig));
-  }
-
-  void ExpectSameJoin(const JoinAnswer& a, const JoinAnswer& b) {
-    EXPECT_EQ(a.method, b.method);
-    ASSERT_EQ(a.matches.size(), b.matches.size());
-    for (size_t i = 0; i < a.matches.size(); ++i) {
-      EXPECT_EQ(a.matches[i].a_value, b.matches[i].a_value);
-      EXPECT_EQ(a.matches[i].s_records, b.matches[i].s_records);
-      EXPECT_EQ(a.matches[i].left_key, b.matches[i].left_key);
-      EXPECT_EQ(a.matches[i].right_key, b.matches[i].right_key);
-    }
-    EXPECT_EQ(a.negative_probes, b.negative_probes);
-    ASSERT_EQ(a.partitions.size(), b.partitions.size());
-    for (size_t i = 0; i < a.partitions.size(); ++i)
-      EXPECT_EQ(a.partitions[i].idx, b.partitions[i].idx);
-    ASSERT_EQ(a.absence_proofs.size(), b.absence_proofs.size());
-    for (size_t i = 0; i < a.absence_proofs.size(); ++i) {
-      EXPECT_EQ(a.absence_proofs[i].a_value, b.absence_proofs[i].a_value);
-      EXPECT_EQ(a.absence_proofs[i].rec_key, b.absence_proofs[i].rec_key);
-      EXPECT_EQ(a.absence_proofs[i].rec_rid, b.absence_proofs[i].rec_rid);
-      EXPECT_EQ(a.absence_proofs[i].rec_ts, b.absence_proofs[i].rec_ts);
-      EXPECT_EQ(a.absence_proofs[i].rec_digest,
-                b.absence_proofs[i].rec_digest);
-      EXPECT_EQ(a.absence_proofs[i].left_key, b.absence_proofs[i].left_key);
-      EXPECT_EQ(a.absence_proofs[i].right_key, b.absence_proofs[i].right_key);
-    }
-    EXPECT_TRUE(PointsEqual(a.agg_sig, b.agg_sig));
-  }
-
+  /// Field-for-field equality: records, boundaries, witnesses, partitions,
+  /// canonical-affine aggregate points, summaries and the epoch stamp.
   void ExpectSameAnswer(const QueryAnswer& a, const QueryAnswer& b) {
-    ASSERT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.served_epoch, b.served_epoch);
-    EXPECT_EQ(a.summaries.size(), b.summaries.size());
-    switch (a.kind) {
-      case QueryKind::kSelect:
-        ExpectSameSelection(a.selection, b.selection);
-        break;
-      case QueryKind::kProject:
-        ExpectSameProjection(a.projection, b.projection);
-        break;
-      case QueryKind::kJoin:
-        ExpectSameJoin(a.join, b.join);
-        break;
-    }
+    EXPECT_EQ(oracle::DiffAnswers((*ctx_)->curve(), a, b), "");
   }
 
   uint64_t Now() { return clock_.NowMicros(); }

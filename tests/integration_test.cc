@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
+#include "server/sharded_query_server.h"
 
 namespace authdb {
 namespace {
@@ -29,9 +29,8 @@ class SystemFixture {
     opt.rho_micros = 1'000'000;
     opt.rho_prime_micros = 30'000'000;
     da_ = std::make_unique<DataAggregator>(ctx, &clock_, &rng_, opt);
-    QueryServer::Options qopt;
-    qopt.record_len = 128;
-    qs_ = std::make_unique<QueryServer>(ctx, qopt);
+    qs_ = std::make_unique<ShardedQueryServer>(ctx, ShardRouter({}),
+                                               ServerConfig{});
     std::vector<Record> records;
     for (uint64_t k = 0; k < n; ++k) {
       Record r;
@@ -41,10 +40,8 @@ class SystemFixture {
     }
     auto stream = da_->BulkLoad(std::move(records));
     AUTHDB_CHECK(stream.ok());
-    for (const auto& msg : stream.value()) {
-      Status s = qs_->ApplyUpdate(msg);
-      AUTHDB_CHECK(s.ok());
-    }
+    Status s = qs_->ApplyUpdates(stream.value());
+    AUTHDB_CHECK(s.ok());
   }
 
   void Apply(const SignedRecordUpdate& msg) {
@@ -54,14 +51,15 @@ class SystemFixture {
   void ClosePeriod() {
     auto out = da_->PublishSummary();
     qs_->AddSummary(out.summary);
-    for (const auto& msg : out.recertifications) Apply(msg);
+    Status s = qs_->ApplyUpdates(out.recertifications);
+    AUTHDB_CHECK(s.ok());
   }
 
   ManualClock clock_;
   Rng rng_;
   std::shared_ptr<const BasContext> ctx_;
   std::unique_ptr<DataAggregator> da_;
-  std::unique_ptr<QueryServer> qs_;
+  std::unique_ptr<ShardedQueryServer> qs_;
   std::map<int64_t, int64_t> model_;  // key -> attrs[1]
 };
 

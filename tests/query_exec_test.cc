@@ -1,8 +1,9 @@
 // End-to-end tests of the unified query-execution layer: selections,
 // projections, and both equi-join variants served through
-// QueryServer::Execute and ShardedQueryServer::Execute, every answer
-// epoch-stamped and accepted (or, when tampered/stale, rejected) by the
-// client-side ClientVerifier::VerifyAnswerFresh.
+// ShardedQueryServer::Execute, every answer epoch-stamped and accepted (or,
+// when tampered/stale, rejected) by the client-side
+// ClientVerifier::VerifyAnswerFresh. Multi-shard answers are also checked
+// against a 1-shard server and against a scan of the DA's own table.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,8 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "answer_oracle.h"
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
 #include "server/sharded_query_server.h"
 
@@ -45,8 +46,8 @@ class QueryExecTest : public ::testing::Test {
   }
 
   /// Bulk-load S = {B value -> duplicate count}, enable join partitions,
-  /// and stand up a 4-shard server (plus a single-server reference) with
-  /// seams at composite keys {(30,1), (50,0), (75,0)}.
+  /// and stand up a 4-shard server with seams at composite keys
+  /// {(30,1), (50,0), (75,0)}, plus a 1-shard server fed the same stream.
   void Load(const std::map<int64_t, int>& b_counts) {
     std::vector<Record> records;
     for (const auto& [b, count] : b_counts) {
@@ -67,15 +68,11 @@ class QueryExecTest : public ::testing::Test {
         ShardRouter({JoinCompositeKey(30, 1), JoinCompositeKey(50, 0),
                      JoinCompositeKey(75, 0)}),
         cfg);
-    QueryServer::Options qopt;
-    qopt.record_len = 128;
-    reference_ = std::make_unique<QueryServer>(*ctx_, qopt);
-    for (const auto& msg : stream.value()) {
-      ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
-      ASSERT_TRUE(reference_->ApplyUpdate(msg).ok());
+    single_ = std::make_unique<ShardedQueryServer>(*ctx_, ShardRouter({}), cfg);
+    for (ShardedQueryServer* s : {server_.get(), single_.get()}) {
+      ASSERT_TRUE(s->ApplyUpdates(stream.value()).ok());
+      s->SetJoinPartitions(da_->join_partitions());
     }
-    server_->SetJoinPartitions(da_->join_partitions());
-    reference_->SetJoinPartitions(da_->join_partitions());
   }
 
   static std::map<int64_t, int> DefaultS() {
@@ -86,25 +83,30 @@ class QueryExecTest : public ::testing::Test {
   /// Apply one DA message to both servers.
   void Apply(const SignedRecordUpdate& msg) {
     ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
-    ASSERT_TRUE(reference_->ApplyUpdate(msg).ok());
+    ASSERT_TRUE(single_->ApplyUpdate(msg).ok());
   }
   /// Close the rho-period into both servers (summary + re-certifications +
   /// certified partition refresh), advancing the clock by rho first so
-  /// certifications never coincide with the period boundary.
+  /// certifications never coincide with the period boundary. Each server
+  /// installs the refresh (delta merges + full rebuilds) in the same
+  /// descriptor swap as the epoch.
   void PublishPeriod() {
     clock_.AdvanceSeconds(1.0);
     DataAggregator::PeriodOutput out = da_->PublishSummary();
-    // The sharded server installs the refresh (delta merges + full
-    // rebuilds) in the same descriptor swap as the epoch; the single-node
-    // reference mirrors it through the same ApplyPartitionRefresh.
-    server_->AddSummary(out.summary, out.partition_refresh);
-    reference_->AddSummary(out.summary);
-    for (const auto& msg : out.recertifications) Apply(msg);
-    if (!out.partition_refresh.empty()) {
-      std::vector<CertifiedPartition> ref = reference_->join_partitions();
-      ASSERT_TRUE(ApplyPartitionRefresh(out.partition_refresh, &ref));
-      reference_->SetJoinPartitions(std::move(ref));
+    for (ShardedQueryServer* s : {server_.get(), single_.get()}) {
+      s->AddSummary(out.summary, out.partition_refresh);
+      ASSERT_TRUE(s->ApplyUpdates(out.recertifications).ok());
     }
+  }
+
+  /// The 4-shard answer to `q` must equal the 1-shard server's field for
+  /// field and carry what a scan of the DA's table predicts.
+  void ExpectMatchesOracles(const Query& q, const QueryAnswer& ans) {
+    auto single = single_->Execute(q);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(oracle::DiffAnswers((*ctx_)->curve(), ans, single.value()), "");
+    const auto& parts = da_->join_partitions();
+    EXPECT_EQ(oracle::CheckAgainstTable(da_->table(), parts, q, ans), "");
   }
 
   uint64_t Now() { return clock_.NowMicros(); }
@@ -115,7 +117,7 @@ class QueryExecTest : public ::testing::Test {
   VarintGapCodec codec_;
   std::unique_ptr<DataAggregator> da_;
   std::unique_ptr<ShardedQueryServer> server_;
-  std::unique_ptr<QueryServer> reference_;
+  std::unique_ptr<ShardedQueryServer> single_;
   std::unique_ptr<ClientVerifier> verifier_;
 };
 std::shared_ptr<const BasContext>* QueryExecTest::ctx_ = nullptr;
@@ -148,12 +150,9 @@ TEST_F(QueryExecTest, JoinMatchGroupSpansShardSeam) {
     EXPECT_EQ(ans.value().join.matches[0].s_records.size(), 3u);
     EXPECT_TRUE(
         verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
-    // The sharded aggregate equals the single-server one: same records,
-    // same chain signatures, same sum.
-    auto ref = reference_->Execute(q);
-    ASSERT_TRUE(ref.ok());
-    EXPECT_TRUE((*ctx_)->curve().Equal(ans.value().join.agg_sig.point,
-                                       ref.value().join.agg_sig.point));
+    // The stitched answer equals the 1-shard one: same records, same chain
+    // signatures, same aggregate.
+    ExpectMatchesOracles(q, ans.value());
   }
 }
 
@@ -170,10 +169,7 @@ TEST_F(QueryExecTest, JoinMixedMatchedUnmatchedAcrossShards) {
     EXPECT_GT(server_->Metrics().Delta(before).exec.shards_queried, 1u);
     EXPECT_TRUE(
         verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
-    auto ref = reference_->Execute(q);
-    ASSERT_TRUE(ref.ok());
-    EXPECT_TRUE((*ctx_)->curve().Equal(ans.value().join.agg_sig.point,
-                                       ref.value().join.agg_sig.point));
+    ExpectMatchesOracles(q, ans.value());
   }
 }
 
@@ -309,11 +305,8 @@ TEST_F(QueryExecTest, ProjectionServedAcrossShardsVerifies) {
   EXPECT_EQ(proj.tuples[0].attr_indices.front(), 0u);  // forced index attr
   EXPECT_EQ(proj.tuples[0].attr_indices.size(), 3u);
   EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
-  // Reference answer aggregates identically.
-  auto ref = reference_->Execute(q);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_TRUE((*ctx_)->curve().Equal(proj.agg_sig.point,
-                                     ref.value().projection.agg_sig.point));
+  // The 1-shard server builds the same tuples, spine and aggregate.
+  ExpectMatchesOracles(q, ans.value());
 }
 
 TEST_F(QueryExecTest, ProjectionEmptyRangeProvenByWitness) {
@@ -361,6 +354,38 @@ TEST_F(QueryExecTest, ProjectionTamperDetected) {
     EXPECT_TRUE(verifier_->VerifyProjectionStatic(q, t.projection)
                     .IsVerificationFailed());
   }
+  {  // A changed value.
+    QueryAnswer t = ans.value();
+    t.projection.tuples[1].values[1] = 424242;
+    EXPECT_TRUE(verifier_->VerifyProjectionStatic(q, t.projection)
+                    .IsVerificationFailed());
+  }
+  {  // A bumped certification time: ts is bound into every attribute
+     // message of the tuple.
+    QueryAnswer t = ans.value();
+    t.projection.tuples[0].ts += 1;
+    EXPECT_TRUE(verifier_->VerifyProjectionStatic(q, t.projection)
+                    .IsVerificationFailed());
+  }
+  // Relabelling between two projected positions: attribute 1 holds B and
+  // attribute 2 holds 11 * B, so presenting the signed attr-2 value as
+  // attr 1 (and vice versa) changes both attribute messages.
+  Query wide = Query::Project(JoinCompositeKey(10, 0),
+                              JoinCompositeKey(30, 2), {1, 2});
+  auto wide_ans = server_->Execute(wide);
+  ASSERT_TRUE(wide_ans.ok());
+  ASSERT_TRUE(
+      verifier_->VerifyProjectionStatic(wide, wide_ans.value().projection)
+          .ok());
+  {
+    QueryAnswer t = wide_ans.value();
+    ProjectedTuple& tuple = t.projection.tuples[2];
+    ASSERT_EQ(tuple.attr_indices, (std::vector<uint32_t>{0, 1, 2}));
+    ASSERT_NE(tuple.values[1], tuple.values[2]);
+    std::swap(tuple.attr_indices[1], tuple.attr_indices[2]);
+    EXPECT_TRUE(verifier_->VerifyProjectionStatic(wide, t.projection)
+                    .IsVerificationFailed());
+  }
 }
 
 TEST_F(QueryExecTest, ProjectionWithoutAttributeSignaturesRefused) {
@@ -378,11 +403,8 @@ TEST_F(QueryExecTest, ProjectionWithoutAttributeSignaturesRefused) {
   }
   auto stream = da.BulkLoad(std::move(records));
   ASSERT_TRUE(stream.ok());
-  QueryServer::Options qopt;
-  qopt.record_len = 128;
-  QueryServer qs(*ctx_, qopt);
-  for (const auto& msg : stream.value())
-    ASSERT_TRUE(qs.ApplyUpdate(msg).ok());
+  ShardedQueryServer qs(*ctx_, ShardRouter({}), ServerConfig{});
+  ASSERT_TRUE(qs.ApplyUpdates(stream.value()).ok());
   auto ans = qs.Execute(Query::Project(0, 7, {1}));
   ASSERT_FALSE(ans.ok());
   EXPECT_FALSE(ans.status().IsNotFound());
@@ -545,6 +567,13 @@ TEST_F(QueryExecTest, VoAccountingSplitsBloomAndBoundaryBytes) {
   EXPECT_EQ(p.value().projection.vo_size(sm),
             sm.signature_bytes + 2 * sm.key_bytes +
                 p.value().projection.tuples.size() * sm.digest_bytes);
+  // Projecting more attributes over the same range adds no VO bytes: the
+  // extra attribute signatures fold into the one aggregate.
+  auto wide = server_->Execute(Query::Project(
+      JoinCompositeKey(10, 0), JoinCompositeKey(30, 2), {1, 2}));
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(wide.value().projection.vo_size(sm),
+            p.value().projection.vo_size(sm));
 }
 
 }  // namespace

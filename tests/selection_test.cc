@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
+#include "server/sharded_query_server.h"
 
 namespace authdb {
 namespace {
@@ -34,9 +34,8 @@ class SelectionTest : public ::testing::Test {
     opt.rho_micros = 1'000'000;
     opt.rho_prime_micros = 60'000'000;
     da_ = std::make_unique<DataAggregator>(*ctx_, &clock_, rng_.get(), opt);
-    QueryServer::Options qopt;
-    qopt.record_len = 128;
-    qs_ = std::make_unique<QueryServer>(*ctx_, qopt);
+    qs_ = std::make_unique<ShardedQueryServer>(*ctx_, ShardRouter({}),
+                                               ServerConfig{});
     verifier_ = std::make_unique<ClientVerifier>(&da_->public_key(), &codec_,
                                                  HashMode::kFast);
     // 100 records with even keys 0..198.
@@ -48,8 +47,7 @@ class SelectionTest : public ::testing::Test {
     }
     auto stream = da_->BulkLoad(std::move(records));
     ASSERT_TRUE(stream.ok());
-    for (const auto& msg : stream.value())
-      ASSERT_TRUE(qs_->ApplyUpdate(msg).ok());
+    ASSERT_TRUE(qs_->ApplyUpdates(stream.value()).ok());
   }
 
   /// DA-side update propagated to the QS.
@@ -61,8 +59,7 @@ class SelectionTest : public ::testing::Test {
   void PublishPeriod() {
     auto out = da_->PublishSummary();
     qs_->AddSummary(out.summary);
-    for (const auto& msg : out.recertifications)
-      ASSERT_TRUE(qs_->ApplyUpdate(msg).ok());
+    ASSERT_TRUE(qs_->ApplyUpdates(out.recertifications).ok());
   }
 
   uint64_t Now() { return clock_.NowMicros(); }
@@ -72,7 +69,7 @@ class SelectionTest : public ::testing::Test {
   std::unique_ptr<Rng> rng_;
   VarintGapCodec codec_;
   std::unique_ptr<DataAggregator> da_;
-  std::unique_ptr<QueryServer> qs_;
+  std::unique_ptr<ShardedQueryServer> qs_;
   std::unique_ptr<ClientVerifier> verifier_;
 };
 std::shared_ptr<const BasContext>* SelectionTest::ctx_ = nullptr;
@@ -272,7 +269,7 @@ TEST_F(SelectionTest, BackgroundRenewalRefreshesOldSignatures) {
   clock_.AdvanceSeconds(120);  // beyond rho' = 60 s
   auto renewals = da_->BackgroundRenewal(10);
   EXPECT_EQ(renewals.size(), 10u);
-  for (const auto& msg : renewals) ASSERT_TRUE(qs_->ApplyUpdate(msg).ok());
+  ASSERT_TRUE(qs_->ApplyUpdates(renewals).ok());
   auto ans = qs_->Select(0, 20);
   ASSERT_TRUE(ans.ok());
   EXPECT_TRUE(verifier_->VerifySelection(0, 20, ans.value(), Now()).ok());
@@ -290,9 +287,7 @@ TEST_F(SelectionTest, SecureHashModeEndToEnd) {
   opt.record_len = 128;
   opt.hash_mode = HashMode::kSecure;
   DataAggregator da(*ctx_, &clock_, &rng, opt);
-  QueryServer::Options qopt;
-  qopt.record_len = 128;
-  QueryServer qs(*ctx_, qopt);
+  ShardedQueryServer qs(*ctx_, ShardRouter({}), ServerConfig{});
   std::vector<Record> records;
   for (int64_t k = 0; k < 10; ++k) {
     Record r;
@@ -301,7 +296,7 @@ TEST_F(SelectionTest, SecureHashModeEndToEnd) {
   }
   auto stream = da.BulkLoad(std::move(records));
   ASSERT_TRUE(stream.ok());
-  for (const auto& msg : stream.value()) ASSERT_TRUE(qs.ApplyUpdate(msg).ok());
+  ASSERT_TRUE(qs.ApplyUpdates(stream.value()).ok());
   ClientVerifier client(&da.public_key(), &codec_, HashMode::kSecure);
   auto ans = qs.Select(2, 7);
   ASSERT_TRUE(ans.ok());

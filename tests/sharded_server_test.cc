@@ -1,7 +1,8 @@
 // End-to-end tests of the sharded serving layer: the DA's single signed
-// stream is routed across K QueryServer shards, and the stitched multi-shard
+// stream is routed across K shards, and the stitched multi-shard
 // SelectionAnswer must pass the *unmodified* ClientVerifier — correctness,
-// completeness boundaries, and freshness summaries.
+// completeness boundaries, and freshness summaries — and agree with a
+// 1-shard server and with a scan of the DA's own table.
 #include "server/sharded_query_server.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "answer_oracle.h"
 #include "core/data_aggregator.h"
-#include "core/query_server.h"
 #include "core/verifier.h"
 
 namespace authdb {
@@ -40,15 +41,13 @@ class ShardedServerTest : public ::testing::Test {
                                                  HashMode::kFast);
   }
 
-  /// Build a K-shard server over [0, 198] and a single-server reference,
-  /// both fed the same bulk stream of records with the given keys.
+  /// Build a K-shard server over [0, 198] and a 1-shard server, both fed
+  /// the same bulk stream of records with the given keys.
   void Load(size_t shards, const std::vector<int64_t>& keys) {
     ServerConfig cfg;
     server_ = std::make_unique<ShardedQueryServer>(
         *ctx_, ShardRouter::Uniform(shards, 0, 198), cfg);
-    QueryServer::Options qopt;
-    qopt.record_len = 128;
-    reference_ = std::make_unique<QueryServer>(*ctx_, qopt);
+    single_ = std::make_unique<ShardedQueryServer>(*ctx_, ShardRouter({}), cfg);
     std::vector<Record> records;
     for (int64_t k : keys) {
       Record r;
@@ -57,10 +56,8 @@ class ShardedServerTest : public ::testing::Test {
     }
     auto stream = da_->BulkLoad(std::move(records));
     ASSERT_TRUE(stream.ok());
-    for (const auto& msg : stream.value()) {
-      ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
-      ASSERT_TRUE(reference_->ApplyUpdate(msg).ok());
-    }
+    ASSERT_TRUE(server_->ApplyUpdates(stream.value()).ok());
+    ASSERT_TRUE(single_->ApplyUpdates(stream.value()).ok());
   }
 
   std::vector<int64_t> EvenKeys() {
@@ -72,7 +69,7 @@ class ShardedServerTest : public ::testing::Test {
   /// Apply a DA message to both servers.
   void Apply(const SignedRecordUpdate& msg) {
     ASSERT_TRUE(server_->ApplyUpdate(msg).ok());
-    ASSERT_TRUE(reference_->ApplyUpdate(msg).ok());
+    ASSERT_TRUE(single_->ApplyUpdate(msg).ok());
   }
   void PublishPeriod() {
     auto out = da_->PublishSummary();
@@ -80,20 +77,22 @@ class ShardedServerTest : public ::testing::Test {
     for (const auto& msg : out.recertifications) Apply(msg);
   }
 
-  /// The stitched answer must verify and agree record-for-record (and
-  /// aggregate-for-aggregate) with the single-server answer.
-  void ExpectMatchesReference(int64_t lo, int64_t hi) {
-    auto sharded = server_->Select(lo, hi);
-    auto single = reference_->Select(lo, hi);
-    ASSERT_EQ(sharded.ok(), single.ok()) << lo << ".." << hi;
-    if (!sharded.ok()) return;
-    const SelectionAnswer& a = sharded.value();
-    const SelectionAnswer& b = single.value();
-    EXPECT_EQ(a.records, b.records);
-    EXPECT_EQ(a.left_key, b.left_key);
-    EXPECT_EQ(a.right_key, b.right_key);
-    EXPECT_EQ(a.proof_record.has_value(), b.proof_record.has_value());
-    EXPECT_TRUE((*ctx_)->curve().Equal(a.agg_sig.point, b.agg_sig.point));
+  /// The stitched answer must verify, agree field for field (records,
+  /// boundaries, proof record, aggregate, summaries, epoch) with the
+  /// 1-shard answer, and carry the rows and boundary keys a scan of the
+  /// DA's table predicts.
+  void ExpectMatchesOracles(int64_t lo, int64_t hi) {
+    const Query q = Query::Select(lo, hi);
+    auto sharded = server_->Execute(q);
+    auto single = single_->Execute(q);
+    ASSERT_TRUE(sharded.ok() && single.ok()) << lo << ".." << hi;
+    const CurveGroup& curve = (*ctx_)->curve();
+    EXPECT_EQ(oracle::DiffAnswers(curve, sharded.value(), single.value()), "")
+        << lo << ".." << hi;
+    EXPECT_EQ(oracle::CheckAgainstTable(da_->table(), {}, q, sharded.value()),
+              "")
+        << lo << ".." << hi;
+    const SelectionAnswer& a = sharded.value().selection;
     EXPECT_TRUE(verifier_->VerifySelection(lo, hi, a, Now()).ok())
         << lo << ".." << hi;
   }
@@ -106,7 +105,7 @@ class ShardedServerTest : public ::testing::Test {
   VarintGapCodec codec_;
   std::unique_ptr<DataAggregator> da_;
   std::unique_ptr<ShardedQueryServer> server_;
-  std::unique_ptr<QueryServer> reference_;
+  std::unique_ptr<ShardedQueryServer> single_;
   std::unique_ptr<ClientVerifier> verifier_;
 };
 std::shared_ptr<const BasContext>* ShardedServerTest::ctx_ = nullptr;
@@ -132,10 +131,10 @@ TEST_F(ShardedServerTest, SeamSpanningRangeVerifies) {
 
 TEST_F(ShardedServerTest, AllShardRangeAndDomainEdges) {
   Load(4, EvenKeys());
-  ExpectMatchesReference(-100, 600);  // everything, boundaries at sentinels
-  ExpectMatchesReference(0, 198);
-  ExpectMatchesReference(-100, -50);  // entirely below the data
-  ExpectMatchesReference(500, 600);   // entirely above the data
+  ExpectMatchesOracles(-100, 600);  // everything, boundaries at sentinels
+  ExpectMatchesOracles(0, 198);
+  ExpectMatchesOracles(-100, -50);  // entirely below the data
+  ExpectMatchesOracles(500, 600);   // entirely above the data
 }
 
 TEST_F(ShardedServerTest, RandomRangesMatchSingleServer) {
@@ -144,7 +143,7 @@ TEST_F(ShardedServerTest, RandomRangesMatchSingleServer) {
   for (int trial = 0; trial < 30; ++trial) {
     int64_t lo = static_cast<int64_t>(rng.Uniform(220)) - 10;
     int64_t hi = lo + static_cast<int64_t>(rng.Uniform(120));
-    ExpectMatchesReference(lo, hi);
+    ExpectMatchesOracles(lo, hi);
   }
 }
 
@@ -168,7 +167,7 @@ TEST_F(ShardedServerTest, EmptyRangeAcrossEmptyShardsVerifies) {
   EXPECT_EQ(ans.value().proof_record->key(), 6);    // global predecessor
   EXPECT_EQ(ans.value().right_key, 190);            // global successor
   EXPECT_TRUE(verifier_->VerifySelection(10, 180, ans.value(), Now()).ok());
-  ExpectMatchesReference(10, 180);
+  ExpectMatchesOracles(10, 180);
 }
 
 TEST_F(ShardedServerTest, ResultsSeparatedByEmptyShardsChainAcrossSeam) {
@@ -179,7 +178,7 @@ TEST_F(ShardedServerTest, ResultsSeparatedByEmptyShardsChainAcrossSeam) {
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().records.size(), 4u);  // 4, 6, 190, 192
   EXPECT_TRUE(verifier_->VerifySelection(4, 192, ans.value(), Now()).ok());
-  ExpectMatchesReference(4, 192);
+  ExpectMatchesOracles(4, 192);
 }
 
 TEST_F(ShardedServerTest, BoundaryProbeReachesAcrossShards) {
@@ -220,7 +219,7 @@ TEST_F(ShardedServerTest, InsertAtSeamRechainsNeighborsOnBothShards) {
   ASSERT_TRUE(msg.ok());
   EXPECT_FALSE(msg.value().recertified.empty());
   Apply(msg.value());
-  ExpectMatchesReference(44, 54);
+  ExpectMatchesOracles(44, 54);
   auto ans = server_->Select(44, 54);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().records.size(), 7u);  // 44 46 48 49 50 52 54
@@ -231,11 +230,42 @@ TEST_F(ShardedServerTest, DeleteAtSeamRechainsAcrossShards) {
   auto msg = da_->DeleteRecord(50);  // first key of shard 1
   ASSERT_TRUE(msg.ok());
   Apply(msg.value());
-  ExpectMatchesReference(44, 56);
+  ExpectMatchesOracles(44, 56);
   auto gone = server_->Select(50, 50);
   ASSERT_TRUE(gone.ok());
   EXPECT_TRUE(gone.value().records.empty());
   EXPECT_TRUE(verifier_->VerifySelection(50, 50, gone.value(), Now()).ok());
+}
+
+TEST_F(ShardedServerTest, ApplyUpdatesPublishesOnceAndMatchesPerMessage) {
+  Load(4, EvenKeys());
+  // One transaction: an insert at the shard-0/1 seam (re-chains 48 and 50
+  // on different shards), a modify, and a delete.
+  std::vector<SignedRecordUpdate> txn;
+  for (const auto& msg :
+       {da_->InsertRecord({49, 7, 7}), da_->ModifyRecord(100, {100, 5, 5}),
+        da_->DeleteRecord(150)}) {
+    ASSERT_TRUE(msg.ok());
+    txn.push_back(msg.value());
+  }
+  const ServerMetrics before = server_->Metrics();
+  ASSERT_TRUE(server_->ApplyUpdates(txn).ok());
+  EXPECT_EQ(server_->Metrics().Delta(before).epoch.published_total, 1u);
+  for (const auto& msg : txn) ASSERT_TRUE(single_->ApplyUpdate(msg).ok());
+  ExpectMatchesOracles(-100, 600);
+  ExpectMatchesOracles(44, 54);
+
+  // A message that cannot apply (modify of a missing key) fails the call;
+  // the messages before it stay applied and are published.
+  auto good = da_->ModifyRecord(60, {60, 6, 6});
+  ASSERT_TRUE(good.ok());
+  SignedRecordUpdate bad = good.value();
+  bad.record->record.attrs[0] = 61;
+  Status st = server_->ApplyUpdates({good.value(), bad});
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+  auto ans = server_->Select(60, 60);
+  ASSERT_TRUE(ans.ok());
+  EXPECT_EQ(ans.value().records[0].attrs[1], 6);
 }
 
 TEST_F(ShardedServerTest, FreshnessSummariesIndictStaleReplay) {
