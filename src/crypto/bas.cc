@@ -188,10 +188,8 @@ BasSignature BasPrivateKey::Sign(Slice message,
 
 bool BasPublicKey::Verify(Slice message, const BasSignature& sig,
                           BasContext::HashMode mode) const {
-  const TatePairing& e = ctx_->pairing();
-  Fp2Elem lhs = e.Pair(sig.point, ctx_->generator());
-  Fp2Elem rhs = e.Pair(ctx_->HashToPoint(message, mode), pk_);
-  return e.Equal(lhs, rhs);
+  return ctx_->pairing().PairingsEqual(sig.point, ctx_->generator(),
+                                      ctx_->HashToPoint(message, mode), pk_);
 }
 
 bool BasPublicKey::VerifyAggregate(const std::vector<Slice>& messages,
@@ -212,11 +210,8 @@ bool BasPublicKey::VerifyAggregate(const std::vector<Slice>& messages,
     for (const Slice& m : messages)
       hashed.push_back(ctx_->HashToPoint(m, mode));
   }
-  ECPoint h_sum = curve.Sum(hashed);
-  const TatePairing& e = ctx_->pairing();
-  Fp2Elem lhs = e.Pair(agg.point, ctx_->generator());
-  Fp2Elem rhs = e.Pair(h_sum, pk_);
-  return e.Equal(lhs, rhs);
+  return ctx_->pairing().PairingsEqual(agg.point, ctx_->generator(),
+                                      curve.Sum(hashed), pk_);
 }
 
 std::vector<bool> BasPublicKey::VerifyAggregateBatch(
@@ -256,9 +251,8 @@ std::vector<bool> BasPublicKey::VerifyAggregateBatch(
   std::vector<ECPoint> h_sums = curve.ToAffineBatch(sums);
   const TatePairing& e = ctx_->pairing();
   for (size_t i = 0; i < claims.size(); ++i) {
-    Fp2Elem lhs = e.Pair(claims[i].agg.point, ctx_->generator());
-    Fp2Elem rhs = e.Pair(h_sums[i], pk_);
-    ok[i] = e.Equal(lhs, rhs);
+    ok[i] = e.PairingsEqual(claims[i].agg.point, ctx_->generator(),
+                            h_sums[i], pk_);
   }
   return ok;
 }

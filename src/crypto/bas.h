@@ -134,12 +134,15 @@ class BasPublicKey {
   BasPublicKey(std::shared_ptr<const BasContext> ctx, ECPoint pk)
       : ctx_(std::move(ctx)), pk_(std::move(pk)) {}
 
-  /// Verify one signature: e(sigma, G) == e(H(m), pk).
+  /// Verify one signature: e(sigma, G) == e(H(m), pk), decided by one
+  /// TatePairing::PairingsEqual (one shared Miller loop, one final
+  /// exponentiation). A sigma that is off the curve or outside the order-r
+  /// subgroup fails.
   bool Verify(Slice message, const BasSignature& sig,
               BasContext::HashMode mode = BasContext::HashMode::kSecure) const;
 
   /// Verify an aggregate signature over messages all signed by this key:
-  /// e(sigma_agg, G) == e(sum_i H(m_i), pk).
+  /// e(sigma_agg, G) == e(sum_i H(m_i), pk), one PairingsEqual.
   bool VerifyAggregate(
       const std::vector<Slice>& messages, const BasSignature& agg,
       BasContext::HashMode mode = BasContext::HashMode::kSecure) const;

@@ -24,6 +24,11 @@ BigInt CurveGroup::CurveRhs(const BigInt& x) const {
 
 bool CurveGroup::IsOnCurve(const ECPoint& pt) const {
   if (pt.infinity) return true;
+  // Unreduced coordinates are not field elements (and would overrun the
+  // Montgomery product's buffer).
+  if (BigInt::Compare(pt.x, fp_->p()) >= 0 ||
+      BigInt::Compare(pt.y, fp_->p()) >= 0)
+    return false;
   return fp_->Equal(fp_->Sqr(pt.y), CurveRhs(pt.x));
 }
 

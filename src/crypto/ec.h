@@ -32,6 +32,8 @@ class CurveGroup {
   const BigInt& cofactor() const { return cofactor_; }
   const BigInt& a_mont() const { return a_; }
 
+  /// True for infinity and for points with coordinates in [0, p) that
+  /// satisfy the curve equation.
   bool IsOnCurve(const ECPoint& pt) const;
   bool Equal(const ECPoint& p1, const ECPoint& p2) const;
   ECPoint Negate(const ECPoint& p) const;

@@ -1,6 +1,8 @@
 #ifndef AUTHDB_CRYPTO_PAIRING_H_
 #define AUTHDB_CRYPTO_PAIRING_H_
 
+#include <cstddef>
+
 #include "crypto/ec.h"
 #include "crypto/fp2.h"
 
@@ -16,19 +18,37 @@ namespace authdb {
 /// underlying the Bilinear Aggregate Signature scheme (BAS, Boneh et al.)
 /// adopted by the paper.
 ///
-/// Denominator elimination: the embedding degree is 2, so line denominators
-/// and vertical lines evaluate into F_p and are annihilated by the final
-/// exponentiation (p^2-1)/r = (p-1) * cofactor; they are skipped.
+/// The Miller loop runs T in Jacobian coordinates and does no field
+/// inversion. Every line value it multiplies in is the affine line value
+/// times a nonzero F_p factor, and so are the line denominators and
+/// vertical lines it skips (denominator elimination). The embedding degree
+/// is 2, so the final exponentiation (p^2-1)/r = (p-1) * cofactor maps
+/// every F_p* factor to 1: the values equal the affine loop's.
+///
+/// Verification uses PairingsEqual, which decides e(a,b) == e(c,d) with
+/// one Miller loop over both pairs and one final exponentiation.
 class TatePairing {
  public:
   /// The curve must have been constructed with a=1, b=0 and cofactor
   /// c = (p+1)/r.
   explicit TatePairing(const CurveGroup* curve);
 
-  /// Compute e(P, Q). Returns 1 (the Fp2 one) if either point is infinity.
+  /// Compute e(P, Q). Returns 1 (the Fp2 one) if either point is infinity,
+  /// and 0 (no pairing value) if P is off the curve or outside the order-r
+  /// subgroup.
   Fp2Elem Pair(const ECPoint& p, const ECPoint& q) const;
 
-  /// Pairing-value equality, the verification predicate.
+  /// The verification predicate e(a, b) == e(c, d), decided as
+  /// FE(f_{r,a}(psi b) * f_{r,-c}(psi d)) == 1: the two Miller loops share
+  /// their accumulator squarings and one final exponentiation (FE). A pair
+  /// with a point at infinity contributes 1. The loop's last step also
+  /// proves [r]a = O and [r]c = O, so a first argument that is off the
+  /// curve or outside the order-r subgroup makes the check false. The
+  /// second arguments must be subgroup points (the generator, a public key).
+  bool PairingsEqual(const ECPoint& a, const ECPoint& b, const ECPoint& c,
+                     const ECPoint& d) const;
+
+  /// Pairing-value equality.
   bool Equal(const Fp2Elem& a, const Fp2Elem& b) const {
     return fp2_.Equal(a, b);
   }
@@ -36,6 +56,16 @@ class TatePairing {
   const Fp2Field& fp2() const { return fp2_; }
 
  private:
+  struct MillerArg {
+    const ECPoint* p;
+    const ECPoint* q;
+  };
+
+  /// f = prod_k f_{r,P_k}(psi(Q_k)) up to an F_p* factor, with one shared
+  /// accumulator squaring per bit of r. Returns false, leaving f unset, if
+  /// some finite P_k is off the curve or [r]P_k != O.
+  bool MillerLoop(const MillerArg* args, size_t n, Fp2Elem* f) const;
+
   /// f^((p^2-1)/r) = (conj(f)/f)^cofactor.
   Fp2Elem FinalExponentiation(const Fp2Elem& f) const;
 

@@ -43,6 +43,9 @@ CryptoCosts MeasureCryptoCosts(std::shared_ptr<const BasContext> ctx,
     bas_key.public_key().Verify(Slice(msgs[0]), sig,
                                 BasContext::HashMode::kSecure);
   });
+  costs.pairing = TimeIt(reps, [&](int) {
+    ctx->pairing().Pair(ctx->generator(), bas_key.public_key().point());
+  });
   std::vector<BasSignature> sigs;
   for (int i = 0; i < agg_n; ++i)
     sigs.push_back(bas_key.Sign(Slice(msgs[i]), BasContext::HashMode::kFast));

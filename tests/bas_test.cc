@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "hostile_points.h"
+
 namespace authdb {
 namespace {
 
@@ -101,6 +103,39 @@ TEST_F(BasTest, VerifyAggregateBatchMatchesSequential) {
                               << " claim=" << c;
       EXPECT_EQ(want, c != 2) << "claim=" << c;
     }
+  }
+}
+
+TEST_F(BasTest, HostileSignaturesRejectedWithoutAbort) {
+  // A relayed signature or aggregate that is off the curve, unreduced, the
+  // order-2 point, or outside the order-r subgroup fails every verify entry
+  // point; in a batch only its own claim's verdict flips.
+  const CurveGroup& curve = (*ctx_)->curve();
+  const BasPublicKey& pub = key_->public_key();
+  std::vector<std::string> msgs = {"x", "y", "z"};
+  std::vector<BasSignature> sigs;
+  for (const auto& m : msgs)
+    sigs.push_back(key_->Sign(Slice(m), HashMode::kFast));
+  BasSignature agg = (*ctx_)->Aggregate(sigs);
+  std::vector<Slice> views(msgs.begin(), msgs.end());
+  std::vector<BasAggregateClaim> claims(3);
+  for (BasAggregateClaim& c : claims) {
+    c.messages = views;
+    c.agg = agg;
+  }
+  for (const auto& bad : hostile::Substitutes(curve, sigs[0].point)) {
+    SCOPED_TRACE(bad.name);
+    BasSignature forged{bad.point};
+    EXPECT_FALSE(pub.Verify(Slice(msgs[0]), forged, HashMode::kFast));
+  }
+  for (const auto& bad : hostile::Substitutes(curve, agg.point)) {
+    SCOPED_TRACE(bad.name);
+    BasSignature forged{bad.point};
+    EXPECT_FALSE(pub.VerifyAggregate(views, forged, HashMode::kFast));
+    std::vector<BasAggregateClaim> batch = claims;
+    batch[1].agg = forged;
+    std::vector<bool> want = {true, false, true};
+    EXPECT_EQ(pub.VerifyAggregateBatch(batch, HashMode::kFast), want);
   }
 }
 
@@ -215,6 +250,27 @@ TEST(BasDefaultParamsTest, DefaultContextIs256Bit) {
   BasSignature sig = key.Sign(Slice(m), BasContext::HashMode::kSecure);
   EXPECT_TRUE(key.public_key().Verify(Slice(m), sig,
                                       BasContext::HashMode::kSecure));
+}
+
+TEST(BasDefaultParamsTest, HostileAggregatesRejectedWithoutAbort) {
+  // The deployed parameters: (0,0) used to trip an assertion in the Miller
+  // loop's doubling step and abort the verifying process.
+  auto ctx = BasContext::Default();
+  Rng rng(2);
+  BasPrivateKey key = BasPrivateKey::Generate(ctx, &rng);
+  std::vector<std::string> msgs = {"a", "b"};
+  std::vector<BasSignature> sigs;
+  for (const auto& m : msgs)
+    sigs.push_back(key.Sign(Slice(m), BasContext::HashMode::kFast));
+  BasSignature agg = ctx->Aggregate(sigs);
+  std::vector<Slice> views(msgs.begin(), msgs.end());
+  const BasPublicKey& pub = key.public_key();
+  const BasContext::HashMode fast = BasContext::HashMode::kFast;
+  ASSERT_TRUE(pub.VerifyAggregate(views, agg, fast));
+  for (const auto& bad : hostile::Substitutes(ctx->curve(), agg.point)) {
+    SCOPED_TRACE(bad.name);
+    EXPECT_FALSE(pub.VerifyAggregate(views, BasSignature{bad.point}, fast));
+  }
 }
 
 }  // namespace

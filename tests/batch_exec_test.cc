@@ -22,6 +22,7 @@
 #include "answer_oracle.h"
 #include "core/data_aggregator.h"
 #include "core/verifier.h"
+#include "hostile_points.h"
 #include "server/sharded_query_server.h"
 #include "server/update_stream.h"
 
@@ -190,6 +191,41 @@ TEST_F(BatchExecTest, BatchVerifyMatchesSequentialVerdictsFieldForField) {
     // Selections + projections fold into ONE shared-inversion pass.
     EXPECT_EQ(stats.aggregate_claims, 6u);
     EXPECT_EQ(stats.shared_inversions, 1u);
+  }
+}
+
+TEST_F(BatchExecTest, HostileAggregateFlipsOnlyItsOwnVerdict) {
+  // One answer of the batch carries a malformed aggregate (a selection, a
+  // projection or a join): the batch verifier rejects exactly that answer
+  // as a verification failure and still accepts every honest one.
+  Load(DefaultS());
+  std::vector<Query> plans = MixedPlans();
+  const PlanBatch batch = PlanBatch::Of(plans);
+  auto answers = server_->ExecuteBatch(batch);
+  ASSERT_EQ(answers.size(), plans.size());
+  const CurveGroup& curve = (*ctx_)->curve();
+  for (size_t k : {size_t{0}, size_t{3}, size_t{6}}) {
+    QueryAnswer& victim = answers[k].value();
+    BasSignature* agg = &victim.selection.agg_sig;
+    if (plans[k].kind == QueryKind::kProject) agg = &victim.projection.agg_sig;
+    if (plans[k].kind == QueryKind::kJoin) agg = &victim.join.agg_sig;
+    const BasSignature honest = *agg;
+    ASSERT_FALSE(honest.point.infinity);
+    for (const auto& bad : hostile::Substitutes(curve, honest.point)) {
+      SCOPED_TRACE("plan " + std::to_string(k) + ": " + bad.name);
+      agg->point = bad.point;
+      ClientVerifier v(&da_->public_key(), &codec_, HashMode::kFast);
+      std::vector<Status> got = v.VerifyAnswerBatch(batch, answers, Now(), 0);
+      ASSERT_EQ(got.size(), plans.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        if (i == k) {
+          EXPECT_TRUE(got[i].IsVerificationFailed()) << got[i].ToString();
+        } else {
+          EXPECT_TRUE(got[i].ok()) << i << ": " << got[i].ToString();
+        }
+      }
+    }
+    *agg = honest;
   }
 }
 

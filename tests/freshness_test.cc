@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hostile_points.h"
+
 namespace authdb {
 namespace {
 
@@ -85,6 +87,22 @@ TEST_F(FreshnessTest, TamperedSummaryRejected) {
   Bitmap empty(1000);
   summary.compressed_bitmap = codec_.Encode(empty);
   EXPECT_TRUE(checker.AddSummary(summary).IsVerificationFailed());
+}
+
+TEST_F(FreshnessTest, HostileSummarySignatureRejectedWithoutAbort) {
+  SummaryBuilder builder(&codec_);
+  FreshnessChecker checker(&key_->public_key(), &codec_, HashMode::kFast);
+  builder.MarkUpdated(5);
+  UpdateSummary summary = Publish(&builder, 0, 1000);
+  const CurveGroup& curve = (*ctx_)->curve();
+  for (const auto& bad : hostile::Substitutes(curve, summary.sig.point)) {
+    SCOPED_TRACE(bad.name);
+    UpdateSummary forged = summary;
+    forged.sig.point = bad.point;
+    EXPECT_TRUE(checker.AddSummary(forged).IsVerificationFailed());
+  }
+  EXPECT_EQ(checker.summary_count(), 0u);
+  EXPECT_TRUE(checker.AddSummary(summary).ok());
 }
 
 TEST_F(FreshnessTest, DuplicateSummariesIgnored) {

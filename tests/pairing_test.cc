@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/bas.h"
+#include "hostile_points.h"
 
 namespace authdb {
 namespace {
@@ -92,6 +93,84 @@ TEST_F(PairingTest, NegationInvertsPairing) {
   Fp2Elem v = e().Pair(P, G());
   Fp2Elem vn = e().Pair(curve().Negate(P), G());
   EXPECT_TRUE(fp2().Equal(fp2().Mul(v, vn), fp2().One()));
+}
+
+TEST_F(PairingTest, PairingsEqualAgreesWithPairValues) {
+  // Honest tuples (e(xG, yG) == e(xyG, G) and == e(yG, xG)) and dishonest
+  // ones (perturbed scalars): the one-exponentiation product check must
+  // give the verdict of comparing the two full pairings.
+  Rng rng(6);
+  const BigInt& r = curve().order();
+  for (int i = 0; i < 6; ++i) {
+    BigInt x = BigInt::RandomBelow(r, &rng);
+    BigInt y = BigInt::RandomBelow(r, &rng);
+    ECPoint xG = curve().ScalarMult(G(), x);
+    ECPoint yG = curve().ScalarMult(G(), y);
+    ECPoint xyG = curve().ScalarMult(xG, y);
+    ECPoint zG = curve().ScalarMult(G(), BigInt::RandomBelow(r, &rng));
+    auto check = [&](const ECPoint& a, const ECPoint& b, const ECPoint& c,
+                     const ECPoint& d, bool want) {
+      bool pair_equal = e().Equal(e().Pair(a, b), e().Pair(c, d));
+      EXPECT_EQ(pair_equal, want);
+      EXPECT_EQ(e().PairingsEqual(a, b, c, d), pair_equal);
+    };
+    check(xG, yG, xyG, G(), true);
+    check(xG, yG, yG, xG, true);
+    check(xyG, G(), xG, yG, true);
+    check(G(), G(), G(), G(), true);
+    check(xG, yG, zG, G(), false);
+    check(xG, zG, xyG, G(), false);
+  }
+}
+
+TEST_F(PairingTest, PairingsEqualInfinityPairsContributeOne) {
+  ECPoint hG = curve().ScalarMult(G(), BigInt(12345));
+  ECPoint pk = curve().ScalarMult(G(), BigInt(777));
+  // sigma = O against a nonzero hash sum is rejected; both O is accepted.
+  EXPECT_FALSE(e().PairingsEqual(ECPoint{}, G(), hG, pk));
+  EXPECT_FALSE(e().PairingsEqual(hG, pk, ECPoint{}, G()));
+  EXPECT_TRUE(e().PairingsEqual(ECPoint{}, G(), ECPoint{}, pk));
+  EXPECT_TRUE(e().PairingsEqual(hG, ECPoint{}, ECPoint{}, pk));
+}
+
+TEST_F(PairingTest, HostileFirstArgumentsFailWithoutAbort) {
+  // The loop's closing step proves [r]P = O, so a first argument that is
+  // off the curve or outside the order-r subgroup fails the check (and
+  // Pair returns 0, which is no pairing value) instead of aborting.
+  ECPoint sigma = curve().ScalarMult(G(), BigInt(4242));
+  ECPoint pk = curve().ScalarMult(G(), BigInt(99));
+  ECPoint h = curve().ScalarMult(G(), BigInt(4242 * 99));
+  ASSERT_TRUE(e().PairingsEqual(sigma, pk, h, G()));
+  for (const auto& bad : hostile::Substitutes(curve(), sigma)) {
+    SCOPED_TRACE(bad.name);
+    EXPECT_FALSE(e().PairingsEqual(bad.point, pk, h, G()));
+    EXPECT_FALSE(e().PairingsEqual(h, G(), bad.point, pk));
+    EXPECT_TRUE(fp2().IsZero(e().Pair(bad.point, G())));
+  }
+}
+
+// Known answers on the deployed parameters: pins the reduced pairing's
+// values, so a Miller-loop rewrite that changes any pairing value (not just
+// one that breaks bilinearity) fails here. Captured from the affine Miller
+// loop with one inversion per step.
+TEST(PairingKnownAnswerTest, DefaultParameters) {
+  std::shared_ptr<const BasContext> ctx = BasContext::Default();
+  const CurveGroup& curve = ctx->curve();
+  const PrimeField& f = curve.field();
+  auto hex = [&](const Fp2Elem& v) {
+    return f.ToPlain(v.re).ToHex() + "," + f.ToPlain(v.im).ToHex();
+  };
+  const ECPoint& G = ctx->generator();
+  EXPECT_EQ(hex(ctx->pairing().Pair(G, G)),
+            "4a5aaf23229faf9e63d29552c37976e401c6630b52660b30961dda03bd61b72,"
+            "8b62dc5736c891018b1fffa7e7b729399f75c27f32b2849168fe050d08e0249b");
+  ECPoint aG = curve.ScalarMult(
+      G, BigInt::FromHex("1234567890abcdef1234567890abcdef"));
+  ECPoint bG = curve.ScalarMult(
+      G, BigInt::FromHex("fedcba0987654321fedcba0987654321"));
+  EXPECT_EQ(hex(ctx->pairing().Pair(aG, bG)),
+            "5527291739081ba5f3b6b9c43ffa84f096aeefda30955ecb49cf2261046f5dd8,"
+            "852dec198797b01dab2bc6aac462e5da7fdbc1ad18155bc234552120a6331d21");
 }
 
 TEST(Fp2FieldTest, FieldAxioms) {

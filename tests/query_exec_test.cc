@@ -9,12 +9,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "answer_oracle.h"
 #include "core/data_aggregator.h"
 #include "core/verifier.h"
+#include "hostile_points.h"
 #include "server/sharded_query_server.h"
 
 namespace authdb {
@@ -234,6 +236,36 @@ TEST_F(QueryExecTest, BloomFalsePositiveFallsBackToBoundaryProofServed) {
   EXPECT_TRUE(ans.value().join.negative_probes.empty());
   ASSERT_EQ(ans.value().join.absence_proofs.size(), 1u);
   EXPECT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
+}
+
+TEST_F(QueryExecTest, HostileAggregateRejectedWithoutAbort) {
+  // A server relaying a malformed aggregate in place of the honest one is
+  // rejected as a verification failure on every plan kind; the client
+  // process survives to report it.
+  Load(DefaultS());
+  const Query plans[] = {
+      Query::Select(JoinCompositeKey(10, 0), JoinCompositeKey(50, 1)),
+      Query::Project(JoinCompositeKey(10, 0), JoinCompositeKey(70, 0), {1}),
+      Query::Join({10, 30, 41}, JoinMethod::kBoundaryValues),
+  };
+  for (const Query& q : plans) {
+    SCOPED_TRACE("plan kind " + std::to_string(static_cast<int>(q.kind)));
+    auto ans = server_->Execute(q);
+    ASSERT_TRUE(ans.ok());
+    ASSERT_TRUE(verifier_->VerifyAnswerFresh(q, ans.value(), Now(), 0).ok());
+    QueryAnswer tampered = ans.value();
+    BasSignature* agg = &tampered.selection.agg_sig;
+    if (q.kind == QueryKind::kProject) agg = &tampered.projection.agg_sig;
+    if (q.kind == QueryKind::kJoin) agg = &tampered.join.agg_sig;
+    ASSERT_FALSE(agg->point.infinity);
+    for (const auto& bad : hostile::Substitutes((*ctx_)->curve(), agg->point)) {
+      SCOPED_TRACE(bad.name);
+      agg->point = bad.point;
+      ClientVerifier fresh(&da_->public_key(), &codec_, HashMode::kFast);
+      EXPECT_TRUE(fresh.VerifyAnswerFresh(q, tampered, Now(), 0)
+                      .IsVerificationFailed());
+    }
+  }
 }
 
 TEST_F(QueryExecTest, TamperedPartitionSignatureRejected) {
